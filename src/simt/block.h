@@ -155,6 +155,8 @@ class Block {
         threads_[t].shared_seq = max_s;
       }
     }
+    // No later access can share a (warp, seq) with this region's.
+    tracer_->EndRegion();
   }
 
   const DeviceSpec& spec_;

@@ -193,6 +193,7 @@ class Device {
           "block_dim " + std::to_string(cfg.block_dim) + " exceeds device max " +
           std::to_string(spec_.max_threads_per_block));
     }
+    MPTOPK_RETURN_NOT_OK(BlockTracer::CheckGeometry(spec_));
 
     // Ceil-division guarantees at most trace_sample_target_ traced blocks
     // (floor division traced up to 2*target - 1).
@@ -209,7 +210,7 @@ class Device {
     if (workers <= 1) {
       // Sequential path: the exact legacy loop (workers=1 contract).
       Block block(spec_, cfg.grid_dim, cfg.block_dim);
-      BlockTracer tracer(spec_, cfg.block_dim);
+      BlockTracer tracer(spec_, cfg.block_dim, racecheck_);
       for (int b = 0; b < cfg.grid_dim; ++b) {
         bool traced = (b % stride) == 0;
         if (traced) tracer.Reset(cfg.block_dim);
@@ -237,9 +238,10 @@ class Device {
       // atomics/turnstile contract that makes the traces themselves
       // worker-count-invariant).
       struct WorkerCtx {
-        WorkerCtx(const DeviceSpec& spec, const LaunchConfig& cfg)
+        WorkerCtx(const DeviceSpec& spec, const LaunchConfig& cfg,
+                  bool racecheck)
             : block(spec, cfg.grid_dim, cfg.block_dim),
-              tracer(spec, cfg.block_dim) {}
+              tracer(spec, cfg.block_dim, racecheck) {}
         Block block;
         BlockTracer tracer;
         KernelMetrics metrics;
@@ -249,7 +251,7 @@ class Device {
       std::vector<std::unique_ptr<WorkerCtx>> ctx;
       ctx.reserve(workers);
       for (int w = 0; w < workers; ++w) {
-        ctx.push_back(std::make_unique<WorkerCtx>(spec_, cfg));
+        ctx.push_back(std::make_unique<WorkerCtx>(spec_, cfg, racecheck_));
       }
       LaunchOrder order(cfg.grid_dim);
       const std::function<void(int, int)> run = [&](int w, int b) {

@@ -60,6 +60,9 @@ class DeviceBuffer {
 /// A non-owning, traced view of device global memory handed to kernels.
 template <typename T>
 class GlobalSpan {
+  static_assert(sizeof(T) <= BlockTracer::kMaxAccessBytes,
+                "one traced access is at most 16 bytes");
+
  public:
   GlobalSpan() = default;
   explicit GlobalSpan(DeviceBuffer<T>& buf)
@@ -236,6 +239,9 @@ class GlobalSpan {
 /// arena, which is how the bank analyzer maps words to banks.
 template <typename T>
 class SharedSpan {
+  static_assert(sizeof(T) <= BlockTracer::kMaxAccessBytes,
+                "one traced access is at most 16 bytes");
+
  public:
   SharedSpan() = default;
   SharedSpan(T* data, uint64_t base_offset, size_t size)

@@ -8,16 +8,7 @@
 namespace mptopk::simt {
 namespace {
 
-// Flattened access with its owning thread, the unit the sweep sorts.
-struct Rec {
-  uint64_t addr;
-  uint32_t epoch;
-  uint32_t seq;
-  uint32_t size;
-  int tid;
-  bool write;
-  bool atomic;
-};
+using Rec = BlockTracer::Access;
 
 bool Conflicts(const Rec& x, const Rec& y, int warp_size) {
   if (x.tid == y.tid) return false;
@@ -67,21 +58,11 @@ void MaybeHazard(const Rec& x, const Rec& y, int warp_size,
 // run (only possible with mixed access sizes, so it is almost always empty).
 // Runs without a write are skipped wholesale — that keeps the broadcast
 // patterns (every thread reading one shared word) linear instead of
-// quadratic.
-void CheckSpace(const std::vector<std::vector<BlockTracer::Access>>& per_tid,
-                int block_dim, int warp_size, RaceHazard::Space space,
+// quadratic. (tid, seq) is unique per space, so the sort key is total and
+// the hazard order does not depend on record order.
+void CheckSpace(std::vector<Rec> recs, int warp_size, RaceHazard::Space space,
                 const std::string& kernel, int block_idx, RaceReport* report) {
-  size_t total = 0;
-  for (int t = 0; t < block_dim; ++t) total += per_tid[t].size();
-  if (total < 2) return;
-
-  std::vector<Rec> recs;
-  recs.reserve(total);
-  for (int t = 0; t < block_dim; ++t) {
-    for (const BlockTracer::Access& a : per_tid[t]) {
-      recs.push_back(Rec{a.addr, a.epoch, a.seq, a.size, t, a.write, a.atomic});
-    }
-  }
+  if (recs.size() < 2) return;
   std::sort(recs.begin(), recs.end(), [](const Rec& x, const Rec& y) {
     if (x.epoch != y.epoch) return x.epoch < y.epoch;
     if (x.addr != y.addr) return x.addr < y.addr;
@@ -135,9 +116,9 @@ void CheckSpace(const std::vector<std::vector<BlockTracer::Access>>& per_tid,
 void RaceChecker::CheckBlock(const BlockTracer& tracer, const DeviceSpec& spec,
                              const std::string& kernel, int block_idx,
                              RaceReport* report) {
-  CheckSpace(tracer.shared_accesses(), tracer.block_dim(), spec.warp_size,
+  CheckSpace(tracer.retained_shared(), spec.warp_size,
              RaceHazard::Space::kShared, kernel, block_idx, report);
-  CheckSpace(tracer.global_accesses(), tracer.block_dim(), spec.warp_size,
+  CheckSpace(tracer.retained_global(), spec.warp_size,
              RaceHazard::Space::kGlobal, kernel, block_idx, report);
   ++report->blocks_checked;
 }

@@ -24,10 +24,10 @@
 // which is sound for this library's block-homogeneous kernels.
 //
 // Enabled per device (DeviceSpec::racecheck, Device::set_racecheck, or the
-// MPTOPK_RACECHECK environment variable); when off, the only residue is the
-// epoch stamp on traced accesses, which costs nothing when tracing is off
-// and never feeds the timing model — simulated timings are bit-identical
-// either way. See docs/racecheck.md.
+// MPTOPK_RACECHECK environment variable); only then does the tracer keep
+// the flat per-access list the checker sorts. Epochs never feed the timing
+// model — simulated timings are bit-identical either way. See
+// docs/racecheck.md.
 #ifndef MPTOPK_SIMT_RACECHECK_H_
 #define MPTOPK_SIMT_RACECHECK_H_
 

@@ -20,16 +20,29 @@
 // boundary so that divergent regions (e.g. data-dependent heap updates) cost
 // extra warp instructions exactly as SIMT hardware serializes them.
 //
+// Storage is instruction-major: per warp and address space, slot
+// `seq - base` holds one warp instruction (a lane mask plus per-lane address
+// and size columns). Block calls EndRegion() after each re-alignment; no
+// later access can reuse a (warp, seq) of the region, so its slots are
+// analyzed in place into the block's pending metrics and rewound
+// (base += used). Analyze() adds the pending metrics plus whatever slots the
+// last region left open.
+//
 // Every access also carries the block's barrier epoch — the number of
 // Block::Sync() barriers executed before it. Epochs do not affect the
 // timing analysis; they exist for simt::RaceChecker, which flags
-// conflicting same-epoch accesses by different threads (racecheck.h).
+// conflicting same-epoch accesses by different threads (racecheck.h). The
+// tracer keeps a flat list of (tid, seq, addr, epoch, ...) records for it
+// only when constructed with `retain_accesses` (the race checker is armed).
 #ifndef MPTOPK_SIMT_TRACE_H_
 #define MPTOPK_SIMT_TRACE_H_
 
+#include <cassert>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "common/status.h"
 #include "simt/device_spec.h"
 #include "simt/metrics.h"
 
@@ -37,29 +50,57 @@ namespace mptopk::simt {
 
 class BlockTracer {
  public:
-  /// One traced memory access. `epoch` counts Block::Sync() barriers executed
-  /// before the access; `atomic` marks read-modify-write operations (both are
-  /// ignored by the timing analysis and consumed by simt::RaceChecker).
+  /// Lanes per warp the slot tables are laid out for.
+  static constexpr int kWarpSize = 32;
+  /// Widest single access (16-byte tuples, float4); with sector_bytes >=
+  /// this, one lane touches at most two sectors.
+  static constexpr uint32_t kMaxAccessBytes = 16;
+  /// Most shared-memory banks the analyzer's per-bank tables hold.
+  static constexpr int kMaxBanks = 32;
+
+  /// One retained access, the unit simt::RaceChecker sorts. `epoch` counts
+  /// Block::Sync() barriers executed before the access; `atomic` marks
+  /// read-modify-write operations.
   struct Access {
     uint64_t addr;
     uint32_t seq;
     uint32_t epoch;
+    int32_t tid;
     uint16_t size;
     bool write;
     bool atomic;
   };
 
-  BlockTracer(const DeviceSpec& spec, int block_dim);
+  /// OK when `spec` has a geometry the analyzer models exactly: 32-wide
+  /// warps, power-of-two sector_bytes (>= kMaxAccessBytes) and
+  /// bank_width_bytes, and a power-of-two shared_mem_banks <= kMaxBanks.
+  /// kInvalidArgument otherwise.
+  static Status CheckGeometry(const DeviceSpec& spec);
 
-  /// Clears all recorded accesses (block reuse) and resets the barrier
-  /// epoch. Access vectors are re-reserved from the high-water mark of
-  /// earlier blocks, so steady-state tracing never reallocates.
+  /// `retain_accesses` keeps every access in the flat lists returned by
+  /// retained_global()/retained_shared() (for the race checker).
+  BlockTracer(const DeviceSpec& spec, int block_dim,
+              bool retain_accesses = false);
+
+  /// Clears all recorded accesses and pending metrics (block reuse) and
+  /// resets the barrier epoch. Slot capacity is kept, so steady-state
+  /// tracing never reallocates.
   void Reset(int block_dim);
 
   void RecordGlobal(int tid, uint32_t seq, uint64_t addr, uint32_t size,
-                    bool write, bool atomic = false);
+                    bool write, bool atomic = false) {
+    Record(&global_[tid / kWarpSize], tid, seq, addr, size, atomic);
+    if (retain_) {
+      global_log_.push_back(MakeAccess(tid, seq, addr, size, write, atomic));
+    }
+  }
   void RecordShared(int tid, uint32_t seq, uint64_t addr, uint32_t size,
-                    bool write, bool atomic);
+                    bool write, bool atomic) {
+    Record(&shared_[tid / kWarpSize], tid, seq, addr, size, atomic);
+    if (retain_) {
+      shared_log_.push_back(MakeAccess(tid, seq, addr, size, write, atomic));
+    }
+  }
   /// Register-spill traffic to thread-local memory (no warp analysis; billed
   /// as global-bandwidth bytes).
   void RecordLocal(uint64_t bytes) { local_bytes_ += bytes; }
@@ -73,35 +114,79 @@ class BlockTracer {
   void AdvanceEpoch() { ++epoch_; }
   uint32_t epoch() const { return epoch_; }
 
-  /// Analyzes all recorded accesses of this block and accumulates into *m.
+  /// Region boundary (called by Block after re-aligning warp sequences):
+  /// analyzes every open slot into the pending metrics and rewinds the
+  /// slot tables.
+  void EndRegion();
+
+  /// Accumulates this block's metrics into *m: the pending metrics of
+  /// closed regions plus the slots still open.
   void Analyze(KernelMetrics* m) const;
 
-  // Raw per-thread access streams, indexed by tid (for RaceChecker).
-  int block_dim() const { return block_dim_; }
-  const std::vector<std::vector<Access>>& global_accesses() const {
-    return global_;
-  }
-  const std::vector<std::vector<Access>>& shared_accesses() const {
-    return shared_;
-  }
+  /// Every access in record order (empty unless retain_accesses).
+  const std::vector<Access>& retained_global() const { return global_log_; }
+  const std::vector<Access>& retained_shared() const { return shared_log_; }
 
  private:
-  void AnalyzeGlobalWarp(const std::vector<Access>* lanes, int num_lanes,
-                         KernelMetrics* m) const;
-  void AnalyzeSharedWarp(const std::vector<Access>* lanes, int num_lanes,
-                         KernelMetrics* m) const;
+  // One warp's instructions in one address space. Columns hold
+  // `cap` rows of kWarpSize lanes; rows [0, used) are this region's, and
+  // only lanes set in mask[row] are valid.
+  struct SlotTable {
+    uint32_t base = 0;  // seq of row 0
+    uint32_t used = 0;
+    uint32_t cap = 0;
+    std::unique_ptr<uint32_t[]> mask;
+    std::unique_ptr<uint8_t[]> any_atomic;
+    std::unique_ptr<uint64_t[]> addr;
+    std::unique_ptr<uint8_t[]> size;
+
+    void Grow(uint32_t rows);
+  };
+
+  static void Record(SlotTable* t, int tid, uint32_t seq, uint64_t addr,
+                     uint32_t size, bool atomic) {
+    assert(size >= 1 && size <= kMaxAccessBytes);
+    assert(seq >= t->base);
+    const uint32_t row = seq - t->base;
+    if (row >= t->used) {
+      if (row >= t->cap) t->Grow(row + 1);
+      for (uint32_t r = t->used; r <= row; ++r) {
+        t->mask[r] = 0;
+        t->any_atomic[r] = 0;
+      }
+      t->used = row + 1;
+    }
+    const int lane = tid % kWarpSize;
+    t->mask[row] |= 1u << lane;
+    t->any_atomic[row] |= atomic;
+    t->addr[row * kWarpSize + lane] = addr;
+    t->size[row * kWarpSize + lane] = static_cast<uint8_t>(size);
+  }
+
+  Access MakeAccess(int tid, uint32_t seq, uint64_t addr, uint32_t size,
+                    bool write, bool atomic) const {
+    return Access{addr, seq, epoch_, tid, static_cast<uint16_t>(size), write,
+                  atomic};
+  }
+
+  void AnalyzeGlobal(const SlotTable& t, KernelMetrics* m) const;
+  void AnalyzeShared(const SlotTable& t, KernelMetrics* m) const;
 
   const DeviceSpec& spec_;
-  int block_dim_;
-  // Indexed by tid; accesses are in strictly increasing seq order per thread.
-  std::vector<std::vector<Access>> global_;
-  std::vector<std::vector<Access>> shared_;
+  bool retain_;
+  // Shifts and masks of the (power-of-two) geometry.
+  int sector_shift_;
+  int word_shift_;
+  uint64_t bank_mask_;
+  // Indexed by warp.
+  std::vector<SlotTable> global_;
+  std::vector<SlotTable> shared_;
+  KernelMetrics pending_;
+  std::vector<Access> global_log_;
+  std::vector<Access> shared_log_;
   uint32_t epoch_ = 0;
   uint64_t local_bytes_ = 0;
   uint64_t dependent_cycles_ = 0;
-  // Largest per-thread access counts seen so far (Reset reserves these).
-  size_t global_hwm_ = 0;
-  size_t shared_hwm_ = 0;
 };
 
 }  // namespace mptopk::simt

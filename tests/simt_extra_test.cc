@@ -192,5 +192,33 @@ TEST(OccupancyTest, SharedEfficiencySaturatesBeforeGlobal) {
   EXPECT_LT(low.bw_efficiency, low.shared_efficiency);
 }
 
+// --- Device geometry the tracer models -----------------------------------------
+
+// A spec the warp analyzer cannot model exactly fails the launch cleanly
+// instead of overflowing per-lane tables or miscounting sectors.
+TEST(GeometryTest, LaunchRejectsUnmodeledGeometry) {
+  auto launch = [](const DeviceSpec& spec) {
+    Device dev(spec);
+    return dev.Launch({.grid_dim = 2, .block_dim = 64},
+                      [](Block& blk) { blk.ForEachThread([](Thread&) {}); })
+        .status();
+  };
+  DeviceSpec wide = DeviceSpec::TitanXMaxwell();
+  wide.warp_size = 64;
+  EXPECT_EQ(launch(wide).code(), StatusCode::kInvalidArgument);
+  DeviceSpec banks = DeviceSpec::TitanXMaxwell();
+  banks.shared_mem_banks = 24;
+  EXPECT_EQ(launch(banks).code(), StatusCode::kInvalidArgument);
+  DeviceSpec sector = DeviceSpec::TitanXMaxwell();
+  sector.sector_bytes = 48;
+  EXPECT_EQ(launch(sector).code(), StatusCode::kInvalidArgument);
+  DeviceSpec word = DeviceSpec::TitanXMaxwell();
+  word.bank_width_bytes = 3;
+  EXPECT_EQ(launch(word).code(), StatusCode::kInvalidArgument);
+
+  EXPECT_TRUE(launch(DeviceSpec::TitanXMaxwell()).ok());
+  EXPECT_TRUE(launch(DeviceSpec::TeslaP100()).ok());
+}
+
 }  // namespace
 }  // namespace mptopk::simt

@@ -189,8 +189,8 @@ TEST(TraceGolden, SharedAtomics) {
 // metrics: the same pattern split across epochs analyzes identically.
 TEST(TraceGolden, EpochsDoNotAffectMetrics) {
   DeviceSpec spec;
-  BlockTracer flat(spec, 32);
-  BlockTracer epoched(spec, 32);
+  BlockTracer flat(spec, 32, /*retain_accesses=*/true);
+  BlockTracer epoched(spec, 32, /*retain_accesses=*/true);
   for (int lane = 0; lane < 32; ++lane) {
     flat.RecordShared(lane, 0, 4 * lane, 4, true, false);
     flat.RecordShared(lane, 1, 4 * lane, 4, false, false);
@@ -210,23 +210,24 @@ TEST(TraceGolden, EpochsDoNotAffectMetrics) {
   EXPECT_EQ(a.bank_conflict_cycles, b.bank_conflict_cycles);
 
   // ... while the recorded epochs differ as stamped.
-  EXPECT_EQ(epoched.shared_accesses()[0][0].epoch, 0u);
-  EXPECT_EQ(epoched.shared_accesses()[0][1].epoch, 1u);
-  EXPECT_EQ(flat.shared_accesses()[0][1].epoch, 0u);
+  // (Retained records are in record order: lane 0's seq 1 is entry 32.)
+  EXPECT_EQ(epoched.retained_shared()[0].epoch, 0u);
+  EXPECT_EQ(epoched.retained_shared()[32].epoch, 1u);
+  EXPECT_EQ(flat.retained_shared()[1].epoch, 0u);
 }
 
 // Reset clears accesses and rewinds the epoch counter for block reuse.
 TEST(TraceGolden, ResetClearsEpoch) {
   DeviceSpec spec;
-  BlockTracer tracer(spec, 32);
+  BlockTracer tracer(spec, 32, /*retain_accesses=*/true);
   tracer.RecordShared(0, 0, 0, 4, true, false);
   tracer.AdvanceEpoch();
   EXPECT_EQ(tracer.epoch(), 1u);
   tracer.Reset(32);
   EXPECT_EQ(tracer.epoch(), 0u);
-  EXPECT_TRUE(tracer.shared_accesses()[0].empty());
+  EXPECT_TRUE(tracer.retained_shared().empty());
   tracer.RecordShared(0, 0, 0, 4, true, false);
-  EXPECT_EQ(tracer.shared_accesses()[0][0].epoch, 0u);
+  EXPECT_EQ(tracer.retained_shared()[0].epoch, 0u);
 }
 
 }  // namespace
