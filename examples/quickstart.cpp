@@ -3,13 +3,13 @@
 //   $ ./quickstart
 //
 // Demonstrates the three levels of the public API:
-//   1. the one-call dispatcher gpu::TopK (host data in, top-k out),
-//   2. device-resident buffers + a specific algorithm,
+//   1. one call on a registry operator (host data in, top-k out),
+//   2. device-resident buffers + operators looked up by name,
 //   3. inspecting the device's simulated time and memory-traffic metrics.
 #include <cstdio>
 
 #include "common/distributions.h"
-#include "gputopk/topk.h"
+#include "topk/registry.h"
 
 using namespace mptopk;
 
@@ -21,7 +21,8 @@ int main() {
 
   // --- Level 1: one call ----------------------------------------------------
   simt::Device device;  // simulated GTX Titan X (Maxwell)
-  auto result = gpu::TopK(device, data.data(), n, k);
+  const topk::TopKOperator* bitonic = topk::FindOperator("BitonicTopK").value();
+  auto result = bitonic->TopKHost(device, data.data(), n, k);
   if (!result.ok()) {
     std::fprintf(stderr, "top-k failed: %s\n",
                  result.status().ToString().c_str());
@@ -34,20 +35,20 @@ int main() {
   std::printf("simulated kernel time: %.4f ms in %d launches\n\n",
               result->kernel_ms, result->kernels_launched);
 
-  // --- Level 2: device-resident data, explicit algorithm ---------------------
+  // --- Level 2: device-resident data, operators by name ---------------------
   auto buf = device.Alloc<float>(n);
   if (!buf.ok()) return 1;
   device.CopyToDevice(*buf, data.data(), n);
-  for (auto algo : {gpu::Algorithm::kBitonic, gpu::Algorithm::kHybrid,
-                    gpu::Algorithm::kRadixSelect, gpu::Algorithm::kSort}) {
-    auto r = gpu::TopKDevice(device, *buf, n, k, algo);
+  for (const char* name :
+       {"BitonicTopK", "HybridTopK", "RadixSelect", "Sort"}) {
+    auto r = topk::FindOperator(name).value()->TopKDevice(device, *buf, n, k);
     if (!r.ok()) {
-      std::fprintf(stderr, "%s failed: %s\n", gpu::AlgorithmName(algo),
+      std::fprintf(stderr, "%s failed: %s\n", name,
                    r.status().ToString().c_str());
       continue;
     }
-    std::printf("%-14s %.4f ms   (max = %.7f)\n", gpu::AlgorithmName(algo),
-                r->kernel_ms, r->items.front());
+    std::printf("%-14s %.4f ms   (max = %.7f)\n", name, r->kernel_ms,
+                r->items.front());
   }
 
   // --- Level 3: what did the device actually do? -----------------------------

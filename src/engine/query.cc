@@ -4,11 +4,11 @@
 #include "engine/query.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/bits.h"
 #include "gputopk/bitonic_kernels.h"
 #include "gputopk/radix_sort.h"
-#include "gputopk/topk.h"
 #include "topk/registry.h"
 
 namespace mptopk::engine {
@@ -140,6 +140,61 @@ StatusOr<CompiledQuery> Compile(const Table& table, const Filter& filter,
   return q;
 }
 
+// Per-block shared staging for scan-based stream compaction into KV rows.
+// Shared addresses, and therefore bank conflicts, follow allocation order,
+// so each kernel constructs it after the shared arrays it allocates first.
+struct BlockCompactor {
+  explicit BlockCompactor(Block& blk)
+      : compact(blk.AllocShared<KV>(kFilterTile)),
+        th(blk.AllocShared<uint32_t>(kBlockDim)),
+        scratch(blk.AllocShared<uint32_t>(kBlockDim)),
+        meta(blk.AllocShared<uint32_t>(2)) {}
+
+  // Compacts one tile of `count` rows: counts the rows `keep(t, i)` accepts,
+  // reserves their output range with one AtomicAdd on counters[0], scatters
+  // each row's `emit(t, i)` (a KV for kept rows) in row order and flushes
+  // the staged rows to `out` coalesced.
+  template <typename Keep, typename Emit>
+  void Tile(Block& blk, size_t count, Keep&& keep, Emit&& emit,
+            GlobalSpan<uint32_t> counters, GlobalSpan<KV> out) {
+    blk.ForEachThread([&](Thread& t) {
+      uint32_t c = 0;
+      for (size_t i = t.tid; i < count; i += kBlockDim) c += keep(t, i);
+      th.Write(t, t.tid, c);
+    });
+    blk.Sync();
+    uint32_t total = 0;
+    gpu::BlockExclusiveScan(blk, th, kBlockDim, scratch, &total);
+    blk.ForEachThread([&](Thread& t) {
+      if (t.tid == 0) {
+        meta.Write(t, 0, counters.AtomicAdd(t, 0, total));
+        meta.Write(t, 1, total);
+      }
+    });
+    blk.Sync();
+    blk.ForEachThread([&](Thread& t) {
+      uint32_t pos = th.Read(t, t.tid);
+      for (size_t i = t.tid; i < count; i += kBlockDim) {
+        if (std::optional<KV> kv = emit(t, i)) compact.Write(t, pos++, *kv);
+      }
+    });
+    blk.Sync();
+    blk.ForEachThread([&](Thread& t) {
+      uint32_t base_out = meta.Read(t, 0);
+      uint32_t total_out = meta.Read(t, 1);
+      for (uint32_t i = t.tid; i < total_out; i += kBlockDim) {
+        out.Write(t, base_out + i, compact.Read(t, i));
+      }
+    });
+    blk.Sync();
+  }
+
+  SharedSpan<KV> compact;
+  SharedSpan<uint32_t> th;
+  SharedSpan<uint32_t> scratch;
+  SharedSpan<uint32_t> meta;
+};
+
 // Materializes matched (rank, row) pairs compacted into `out` (scan-based
 // staging, coalesced write-out); counters[0] accumulates the match count.
 Status LaunchFilterProject(const simt::ExecCtx& dev, const CompiledQuery& q,
@@ -153,10 +208,7 @@ Status LaunchFilterProject(const simt::ExecCtx& dev, const CompiledQuery& q,
       [&](Block& blk) {
         auto kv_tile = blk.AllocShared<KV>(kFilterTile);
         auto flags = blk.AllocShared<uint32_t>(kFilterTile);
-        auto compact = blk.AllocShared<KV>(kFilterTile);
-        auto th = blk.AllocShared<uint32_t>(kBlockDim);
-        auto scratch = blk.AllocShared<uint32_t>(kBlockDim);
-        auto meta = blk.AllocShared<uint32_t>(2);
+        BlockCompactor compactor(blk);
 
         size_t range_lo = static_cast<size_t>(blk.block_idx()) * per_block;
         size_t range_hi = std::min(range_lo + per_block, n);
@@ -176,40 +228,14 @@ Status LaunchFilterProject(const simt::ExecCtx& dev, const CompiledQuery& q,
             }
           });
           blk.Sync();
-          blk.ForEachThread([&](Thread& t) {
-            uint32_t c = 0;
-            for (size_t i = t.tid; i < count; i += kBlockDim) {
-              c += flags.Read(t, i);
-            }
-            th.Write(t, t.tid, c);
-          });
-          blk.Sync();
-          uint32_t total = 0;
-          gpu::BlockExclusiveScan(blk, th, kBlockDim, scratch, &total);
-          blk.ForEachThread([&](Thread& t) {
-            if (t.tid == 0) {
-              meta.Write(t, 0, counters.AtomicAdd(t, 0, total));
-              meta.Write(t, 1, total);
-            }
-          });
-          blk.Sync();
-          blk.ForEachThread([&](Thread& t) {
-            uint32_t pos = th.Read(t, t.tid);
-            for (size_t i = t.tid; i < count; i += kBlockDim) {
-              if (flags.Read(t, i) != 0) {
-                compact.Write(t, pos++, kv_tile.Read(t, i));
-              }
-            }
-          });
-          blk.Sync();
-          blk.ForEachThread([&](Thread& t) {
-            uint32_t base_out = meta.Read(t, 0);
-            uint32_t total_out = meta.Read(t, 1);
-            for (uint32_t i = t.tid; i < total_out; i += kBlockDim) {
-              out.Write(t, base_out + i, compact.Read(t, i));
-            }
-          });
-          blk.Sync();
+          compactor.Tile(
+              blk, count,
+              [&](Thread& t, size_t i) { return flags.Read(t, i); },
+              [&](Thread& t, size_t i) -> std::optional<KV> {
+                if (flags.Read(t, i) == 0) return std::nullopt;
+                return kv_tile.Read(t, i);
+              },
+              counters, out);
         }
       });
   return st.ok() ? Status::OK() : st.status();
@@ -400,51 +426,22 @@ Status LaunchCompactGroups(const simt::ExecCtx& dev, GlobalSpan<uint32_t> keys,
   auto st = dev.Launch(
       {.grid_dim = grid, .block_dim = kBlockDim, .name = "groupby_compact"},
       [&](Block& blk) {
-        auto compact = blk.AllocShared<KV>(kFilterTile);
-        auto th = blk.AllocShared<uint32_t>(kBlockDim);
-        auto scratch = blk.AllocShared<uint32_t>(kBlockDim);
-        auto meta = blk.AllocShared<uint32_t>(2);
+        BlockCompactor compactor(blk);
         size_t range_lo = static_cast<size_t>(blk.block_idx()) * per_block;
         size_t range_hi = std::min(range_lo + per_block, slots);
         for (size_t base = range_lo; base < range_hi; base += kFilterTile) {
           size_t count = std::min(kFilterTile, range_hi - base);
-          blk.ForEachThread([&](Thread& t) {
-            uint32_t c = 0;
-            for (size_t i = t.tid; i < count; i += kBlockDim) {
-              c += keys.Read(t, base + i) != kEmptySlot;
-            }
-            th.Write(t, t.tid, c);
-          });
-          blk.Sync();
-          uint32_t total = 0;
-          gpu::BlockExclusiveScan(blk, th, kBlockDim, scratch, &total);
-          blk.ForEachThread([&](Thread& t) {
-            if (t.tid == 0) {
-              meta.Write(t, 0, counters.AtomicAdd(t, 0, total));
-              meta.Write(t, 1, total);
-            }
-          });
-          blk.Sync();
-          blk.ForEachThread([&](Thread& t) {
-            uint32_t pos = th.Read(t, t.tid);
-            for (size_t i = t.tid; i < count; i += kBlockDim) {
-              uint32_t key = keys.Read(t, base + i);
-              if (key != kEmptySlot) {
-                compact.Write(
-                    t, pos++,
-                    KV{static_cast<float>(counts.Read(t, base + i)), key});
-              }
-            }
-          });
-          blk.Sync();
-          blk.ForEachThread([&](Thread& t) {
-            uint32_t base_out = meta.Read(t, 0);
-            uint32_t total_out = meta.Read(t, 1);
-            for (uint32_t i = t.tid; i < total_out; i += kBlockDim) {
-              out.Write(t, base_out + i, compact.Read(t, i));
-            }
-          });
-          blk.Sync();
+          compactor.Tile(
+              blk, count,
+              [&](Thread& t, size_t i) {
+                return keys.Read(t, base + i) != kEmptySlot;
+              },
+              [&](Thread& t, size_t i) -> std::optional<KV> {
+                uint32_t key = keys.Read(t, base + i);
+                if (key == kEmptySlot) return std::nullopt;
+                return KV{static_cast<float>(counts.Read(t, base + i)), key};
+              },
+              counters, out);
         }
       });
   return st.ok() ? Status::OK() : st.status();

@@ -231,8 +231,8 @@ StatusOr<TopKResult<E>> BitonicTopKDevice(const simt::ExecCtx& dev,
   }
   if (!IsPowerOfTwo(k)) {
     return Status::InvalidArgument(
-        "bitonic top-k requires k to be a power of two (use the TopK "
-        "dispatcher to round up)");
+        "bitonic top-k requires k to be a power of two (the BitonicTopK "
+        "registry operator rounds up)");
   }
   if (n > data.size()) {
     return Status::InvalidArgument("n exceeds buffer size");

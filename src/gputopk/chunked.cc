@@ -10,9 +10,12 @@ template <typename E>
 StatusOr<ChunkedTopKResult<E>> ChunkedTopK(const simt::ExecCtx& dev, const E* data,
                                            size_t n, size_t k,
                                            size_t chunk_elems,
-                                           Algorithm algo) {
+                                           const topk::TopKOperator* reduce) {
   if (k == 0 || k > n) {
     return Status::InvalidArgument("require 1 <= k <= n");
+  }
+  if (reduce == nullptr) {
+    MPTOPK_ASSIGN_OR_RETURN(reduce, topk::FindOperator("BitonicTopK"));
   }
   if (chunk_elems == 0) {
     chunk_elems = dev.spec().global_mem_bytes / sizeof(E) / 8;
@@ -36,7 +39,7 @@ StatusOr<ChunkedTopKResult<E>> ChunkedTopK(const simt::ExecCtx& dev, const E* da
     const size_t k_chunk = std::min(k, len);
     MPTOPK_RETURN_NOT_OK(dev.CopyToDevice(chunk_buf, data + base, len));
     MPTOPK_ASSIGN_OR_RETURN(auto top,
-                            TopKDevice(dev, chunk_buf, len, k_chunk, algo));
+                            reduce->TopKDevice(dev, chunk_buf, len, k_chunk));
     // Stage the chunk's winners back into the candidate pool (tiny).
     std::copy(top.items.begin(), top.items.end(),
               candidates.host_data() + cand_count);
@@ -44,8 +47,8 @@ StatusOr<ChunkedTopKResult<E>> ChunkedTopK(const simt::ExecCtx& dev, const E* da
   }
   // Final reduction over c*k candidates.
   MPTOPK_ASSIGN_OR_RETURN(auto top,
-                          TopKDevice(dev, candidates, cand_count,
-                                     std::min(k, cand_count), algo));
+                          reduce->TopKDevice(dev, candidates, cand_count,
+                                             std::min(k, cand_count)));
   result.items = std::move(top.items);
   result.kernel_ms = dev.total_sim_ms() - start_kernel;
   result.pcie_ms = dev.pcie_ms() - start_pcie;
@@ -56,7 +59,8 @@ StatusOr<ChunkedTopKResult<E>> ChunkedTopK(const simt::ExecCtx& dev, const E* da
 
 #define MPTOPK_INSTANTIATE_CHUNKED(E)                                       \
   template StatusOr<ChunkedTopKResult<E>> ChunkedTopK<E>(                   \
-      const simt::ExecCtx&, const E*, size_t, size_t, size_t, Algorithm);
+      const simt::ExecCtx&, const E*, size_t, size_t, size_t,               \
+      const topk::TopKOperator*);
 
 MPTOPK_INSTANTIATE_CHUNKED(float)
 MPTOPK_INSTANTIATE_CHUNKED(double)

@@ -11,7 +11,7 @@
 #include <cstddef>
 
 #include "common/status.h"
-#include "gputopk/topk.h"
+#include "topk/registry.h"
 
 namespace mptopk::gpu {
 
@@ -28,14 +28,12 @@ struct ChunkedTopKResult {
 
 /// Streams data[0, n) through the device in chunks of `chunk_elems`
 /// (0 = auto: an eighth of device memory), computing the global top-k.
-/// Requirements follow the underlying algorithm (default bitonic:
-/// power-of-two k handled via the dispatcher's round-up).
+/// Each chunk and the final candidate pool are reduced by the registry
+/// operator `reduce` (nullptr = BitonicTopK, which rounds k up internally).
 template <typename E>
-StatusOr<ChunkedTopKResult<E>> ChunkedTopK(const simt::ExecCtx& dev, const E* data,
-                                           size_t n, size_t k,
-                                           size_t chunk_elems = 0,
-                                           Algorithm algo =
-                                               Algorithm::kBitonic);
+StatusOr<ChunkedTopKResult<E>> ChunkedTopK(
+    const simt::ExecCtx& dev, const E* data, size_t n, size_t k,
+    size_t chunk_elems = 0, const topk::TopKOperator* reduce = nullptr);
 
 }  // namespace mptopk::gpu
 

@@ -36,8 +36,8 @@ struct HybridOptions {
 };
 
 /// Top-k of device-resident data[0, n) via the sampled-pivot + bitonic
-/// pipeline. Requires power-of-two k (like bitonic; the TopK dispatcher's
-/// round-up applies if you need arbitrary k). Input is not modified.
+/// pipeline. Requires power-of-two k (like bitonic; the HybridTopK registry
+/// operator rounds up if you need arbitrary k). Input is not modified.
 template <typename E>
 StatusOr<TopKResult<E>> HybridTopKDevice(const simt::ExecCtx& dev,
                                          simt::DeviceBuffer<E>& data,

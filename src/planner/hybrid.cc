@@ -6,7 +6,7 @@
 namespace mptopk::planner {
 
 double CpuTopKCostMs(const CpuSpec& cpu, const cost::Workload& w,
-                     cpu::CpuAlgorithm* best) {
+                     const topk::TopKOperator** best) {
   const double n = static_cast<double>(w.n);
   const double per_core = n / std::max(1, cpu.cores);
 
@@ -38,12 +38,12 @@ double CpuTopKCostMs(const CpuSpec& cpu, const cost::Workload& w,
       std::max(stream_s,
                per_core * compares_per_elem * cpu.compare_ns * 1e-9);
 
-  if (heap_s <= bitonic_s) {
-    if (best != nullptr) *best = cpu::CpuAlgorithm::kHandPq;
-    return heap_s * 1e3;
+  const bool heap = heap_s <= bitonic_s;
+  if (best != nullptr) {
+    *best = topk::Registry::Instance().FindOrNull(heap ? "cpu:HandPq"
+                                                       : "cpu:Bitonic");
   }
-  if (best != nullptr) *best = cpu::CpuAlgorithm::kBitonic;
-  return bitonic_s * 1e3;
+  return (heap ? heap_s : bitonic_s) * 1e3;
 }
 
 StatusOr<HybridChoice> PlanHybridTopK(const simt::DeviceSpec& gpu_spec,
@@ -59,7 +59,7 @@ StatusOr<HybridChoice> PlanHybridTopK(const simt::DeviceSpec& gpu_spec,
           ? static_cast<double>(w.n) * w.elem_size /
                 (gpu_spec.pcie_bw_gbps * 1e9) * 1e3
           : 0.0;
-  choice.cpu_ms = CpuTopKCostMs(cpu_spec, w, &choice.cpu_algorithm);
+  choice.cpu_ms = CpuTopKCostMs(cpu_spec, w, &choice.cpu_op);
 
   const double gpu_total = choice.gpu_kernel_ms + choice.transfer_ms;
   choice.use_gpu = gpu_total <= choice.cpu_ms;

@@ -11,7 +11,6 @@
 #ifndef MPTOPK_PLANNER_HYBRID_H_
 #define MPTOPK_PLANNER_HYBRID_H_
 
-#include "cputopk/cpu_topk.h"
 #include "planner/plan_topk.h"
 
 namespace mptopk::planner {
@@ -32,8 +31,9 @@ struct HybridChoice {
   bool use_gpu = true;
   /// Set when use_gpu: the registry operator the GPU-side plan chose.
   const topk::TopKOperator* gpu_op = nullptr;
-  /// Set when !use_gpu.
-  cpu::CpuAlgorithm cpu_algorithm = cpu::CpuAlgorithm::kHandPq;
+  /// The registry CPU operator the CPU-side model chose ("cpu:HandPq" or
+  /// "cpu:Bitonic"); the one to run when !use_gpu.
+  const topk::TopKOperator* cpu_op = nullptr;
   double predicted_ms = 0.0;
   /// Component costs for explanation.
   double cpu_ms = 0.0;
@@ -41,10 +41,11 @@ struct HybridChoice {
   double transfer_ms = 0.0;
 };
 
-/// Predicted CPU milliseconds for the best CPU algorithm (heaps on friendly
-/// distributions, bitonic when every element updates the heap).
+/// Predicted CPU milliseconds for the best CPU operator (heaps on friendly
+/// distributions, bitonic when every element updates the heap), which is
+/// stored to `best` when given.
 double CpuTopKCostMs(const CpuSpec& cpu, const cost::Workload& w,
-                     cpu::CpuAlgorithm* best = nullptr);
+                     const topk::TopKOperator** best = nullptr);
 
 /// Chooses CPU vs GPU (and the algorithm) for the workload, accounting for
 /// a PCIe staging transfer when the data is host-resident.

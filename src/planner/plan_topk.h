@@ -42,13 +42,10 @@ StatusOr<Plan> PlanTopK(const simt::DeviceSpec& spec,
                         const cost::Workload& workload,
                         bool include_extensions = false);
 
-/// Convenience: plan, then run the chosen operator on device data.
+/// The cost-model workload of a top-k over n elements of type E on `dev`.
 template <typename E>
-StatusOr<gpu::TopKResult<E>> PlannedTopKDevice(const simt::ExecCtx& dev,
-                                               simt::DeviceBuffer<E>& data,
-                                               size_t n, size_t k,
-                                               Distribution hint =
-                                                   Distribution::kUniform) {
+cost::Workload MakeWorkload(const simt::ExecCtx& dev, size_t n, size_t k,
+                            Distribution hint) {
   cost::Workload w;
   w.n = n;
   w.k = k;
@@ -57,7 +54,18 @@ StatusOr<gpu::TopKResult<E>> PlannedTopKDevice(const simt::ExecCtx& dev,
                       typename ElementTraits<E>::Key>::Unsigned);
   w.dist = hint;
   w.concurrent_streams = dev.concurrency_hint();
-  MPTOPK_ASSIGN_OR_RETURN(Plan plan, PlanTopK(dev.spec(), w));
+  return w;
+}
+
+/// Convenience: plan, then run the chosen operator on device data.
+template <typename E>
+StatusOr<gpu::TopKResult<E>> PlannedTopKDevice(const simt::ExecCtx& dev,
+                                               simt::DeviceBuffer<E>& data,
+                                               size_t n, size_t k,
+                                               Distribution hint =
+                                                   Distribution::kUniform) {
+  MPTOPK_ASSIGN_OR_RETURN(
+      Plan plan, PlanTopK(dev.spec(), MakeWorkload<E>(dev, n, k, hint)));
   return plan.best->TopKDevice(dev, data, n, k);
 }
 

@@ -114,22 +114,25 @@ Status VerifyTopK(const E* input, size_t n, const std::vector<E>& items,
   return Status::OK();
 }
 
-/// Charges exponential backoff before retry number `retries` (0-based) to
-/// the device clock and the report, and records it on the attempt.
-void ChargeBackoff(const simt::ExecCtx& dev, const ResilienceOptions& opts,
-                   int retries, AttemptRecord* rec, ExecutionReport* rep) {
-  const double backoff =
-      opts.backoff_base_ms * static_cast<double>(uint64_t{1} << retries);
-  dev.AddSimulatedDelayMs(backoff);
-  rec->backoff_ms = backoff;
-  rep->backoff_ms += backoff;
-  ++rep->retries;
+/// The items of an operator call, as a RunStage attempt.
+template <typename E>
+StatusOr<std::vector<E>> ItemsOf(StatusOr<gpu::TopKResult<E>> r) {
+  if (!r.ok()) return r.status();
+  return std::move(r.value().items);
 }
 
-/// Runs one stage with bounded retry of retryable faults (exponential
-/// simulated backoff) and one re-execution on a failed invariant check.
+/// A plain transfer as a RunStage attempt: no items, nothing to verify.
+template <typename E>
+StatusOr<std::vector<E>> NoItems(Status st) {
+  if (!st.ok()) return st;
+  return std::vector<E>{};
+}
+
+/// The one retry loop: runs one stage with bounded retry of retryable
+/// faults (exponential simulated backoff) and one re-execution on a failed
+/// invariant check (skipped when verify_input is null, e.g. transfers).
 /// Failed attempts charge their device time (plus backoff) to the report's
-/// added_latency_ms; on success stores the verified items.
+/// added_latency_ms; on success stores the verified items (if `items`).
 template <typename E, typename F>
 Status RunStage(const simt::ExecCtx& dev, const ResilienceOptions& opts,
                 const std::string& stage, const E* verify_input, size_t n,
@@ -149,7 +152,7 @@ Status RunStage(const simt::ExecCtx& dev, const ResilienceOptions& opts,
                      : Status::OK();
       if (v.ok()) {
         rep->attempts.push_back(std::move(rec));
-        *items = std::move(r).value();
+        if (items != nullptr) *items = std::move(r).value();
         return Status::OK();
       }
       rec.code = v.code();
@@ -170,7 +173,13 @@ Status RunStage(const simt::ExecCtx& dev, const ResilienceOptions& opts,
     rec.detail = last.message();
     ++rep->faults_seen;
     if (last.IsRetryable() && retries < opts.max_retries) {
-      ChargeBackoff(dev, opts, retries, &rec, rep);
+      // Exponential backoff before retry number `retries` (0-based),
+      // charged to the device clock and the report.
+      rec.backoff_ms =
+          opts.backoff_base_ms * static_cast<double>(uint64_t{1} << retries);
+      dev.AddSimulatedDelayMs(rec.backoff_ms);
+      rep->backoff_ms += rec.backoff_ms;
+      ++rep->retries;
       ++retries;
       rep->attempts.push_back(std::move(rec));
       rep->added_latency_ms += DeviceClockMs(dev) - t0;
@@ -182,37 +191,6 @@ Status RunStage(const simt::ExecCtx& dev, const ResilienceOptions& opts,
   }
 }
 
-/// Retries a plain transfer (no result to verify) under the same bounded
-/// backoff policy. `stage` labels the attempt records.
-template <typename F>
-Status RunTransfer(const simt::ExecCtx& dev, const ResilienceOptions& opts,
-                   const std::string& stage, F&& fn, ExecutionReport* rep) {
-  int retries = 0;
-  while (true) {
-    const double t0 = DeviceClockMs(dev);
-    Status st = fn();
-    AttemptRecord rec;
-    rec.stage = stage;
-    rec.code = st.code();
-    if (st.ok()) {
-      rep->attempts.push_back(std::move(rec));
-      return st;
-    }
-    rec.detail = st.message();
-    ++rep->faults_seen;
-    if (st.IsRetryable() && retries < opts.max_retries) {
-      ChargeBackoff(dev, opts, retries, &rec, rep);
-      ++retries;
-      rep->attempts.push_back(std::move(rec));
-      rep->added_latency_ms += DeviceClockMs(dev) - t0;
-      continue;
-    }
-    rep->attempts.push_back(std::move(rec));
-    rep->added_latency_ms += DeviceClockMs(dev) - t0;
-    return st.WithContext(stage);
-  }
-}
-
 /// Walks the planner-ranked GPU operators (topk/registry.h) over
 /// device-resident data, retrying within a stage and falling back across
 /// stages. No chunked/CPU degrade here — callers layer those on.
@@ -220,15 +198,8 @@ template <typename E>
 Status RunGpuStages(const simt::ExecCtx& dev, simt::DeviceBuffer<E>& data, size_t n,
                     size_t k, const ResilienceOptions& opts,
                     ExecutionReport* rep, std::vector<E>* items) {
-  cost::Workload w;
-  w.n = n;
-  w.k = k;
-  w.elem_size = sizeof(E);
-  w.key_size =
-      sizeof(typename KeyTraits<typename ElementTraits<E>::Key>::Unsigned);
-  w.dist = opts.hint;
-  w.concurrent_streams = dev.concurrency_hint();
-  auto plan = PlanTopK(dev.spec(), w, opts.include_extensions);
+  auto plan = PlanTopK(dev.spec(), MakeWorkload<E>(dev, n, k, opts.hint),
+                       opts.include_extensions);
   if (!plan.ok()) {
     rep->attempts.push_back(
         {"planner", plan.status().code(), plan.status().message(), 0.0});
@@ -243,12 +214,8 @@ Status RunGpuStages(const simt::ExecCtx& dev, simt::DeviceBuffer<E>& data, size_
     const std::string& name = est.op->name();
     Status st = RunStage<E>(
         dev, opts, name, data.host_data(), n, k,
-        [&]() -> StatusOr<std::vector<E>> {
-          auto r = est.op->TopKDevice(dev, data, n, k);
-          if (!r.ok()) return r.status();
-          return std::move(r.value().items);
-        },
-        rep, items);
+        [&] { return ItemsOf(est.op->TopKDevice(dev, data, n, k)); }, rep,
+        items);
     if (st.ok()) {
       rep->final_algorithm = name;
       return Status::OK();
@@ -273,12 +240,7 @@ Status RunCpuStage(const simt::ExecCtx& dev, const E* data, size_t n, size_t k,
     first = false;
     Status st = RunStage<E>(
         dev, opts, op->name(), data, n, k,
-        [&]() -> StatusOr<std::vector<E>> {
-          auto r = op->TopKHost(dev, data, n, k);
-          if (!r.ok()) return r.status();
-          return std::move(r.value().items);
-        },
-        rep, items);
+        [&] { return ItemsOf(op->TopKHost(dev, data, n, k)); }, rep, items);
     if (st.ok()) {
       rep->used_cpu = true;
       rep->final_algorithm = op->name();
@@ -310,9 +272,10 @@ StatusOr<ResilientResult<E>> ResilientTopKDevice(
     ++out.report.fallbacks;
     // Accounted readback of the input (itself subject to transient faults).
     std::vector<E> host(n);
-    Status rb = RunTransfer(
-        dev, opts, "cpu-readback",
-        [&]() { return dev.CopyToHost(host.data(), data, n); }, &out.report);
+    Status rb = RunStage<E>(
+        dev, opts, "cpu-readback", nullptr, n, k,
+        [&] { return NoItems<E>(dev.CopyToHost(host.data(), data, n)); },
+        &out.report, nullptr);
     if (!rb.ok()) {
       return rb.WithContext("ResilientTopKDevice: input readback failed");
     }
@@ -354,10 +317,10 @@ StatusOr<ResilientResult<E>> ResilientTopK(const simt::ExecCtx& dev, const E* da
       ++out.report.faults_seen;
       last = buf.status();
     } else {
-      Status cp = RunTransfer(
-          dev, opts, "stage-input",
-          [&]() { return dev.CopyToDevice(buf.value(), data, n); },
-          &out.report);
+      Status cp = RunStage<E>(
+          dev, opts, "stage-input", nullptr, n, k,
+          [&] { return NoItems<E>(dev.CopyToDevice(buf.value(), data, n)); },
+          &out.report, nullptr);
       if (cp.ok()) {
         Status st = RunGpuStages(dev, buf.value(), n, k, opts, &out.report,
                                  &out.items);
@@ -385,11 +348,7 @@ StatusOr<ResilientResult<E>> ResilientTopK(const simt::ExecCtx& dev, const E* da
     out.report.degraded_to_chunked = true;
     Status st = RunStage<E>(
         dev, opts, streaming->name(), data, n, k,
-        [&]() -> StatusOr<std::vector<E>> {
-          auto r = streaming->TopKHost(dev, data, n, k);
-          if (!r.ok()) return r.status();
-          return std::move(r.value().items);
-        },
+        [&] { return ItemsOf(streaming->TopKHost(dev, data, n, k)); },
         &out.report, &out.items);
     if (st.ok()) {
       out.report.final_algorithm = streaming->name();

@@ -29,7 +29,6 @@
 #include "common/status.h"
 #include "cputopk/cpu_topk.h"
 #include "gputopk/chunked.h"
-#include "gputopk/topk.h"
 #include "planner/plan_topk.h"
 
 namespace mptopk::planner {

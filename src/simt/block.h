@@ -118,7 +118,7 @@ class Block {
 
   /// Re-targets this context at block `block_idx`, tracing into `tracer`
   /// (may be null). Under a parallel launch `order` carries the launch's
-  /// block-completion turnstile (null on the sequential path). Resets
+  /// block-completion turnstile (null on a one-worker launch). Resets
   /// shared/scratch arenas and thread state.
   void ResetFor(int block_idx, BlockTracer* tracer,
                 LaunchOrder* order = nullptr) {

@@ -206,103 +206,79 @@ class Device {
     KernelStats stats;
     stats.name = cfg.name;
     size_t shared_used = 0;
-    const int workers = std::min(host_workers_, cfg.grid_dim);
-    if (workers <= 1) {
-      // Sequential path: the exact legacy loop (workers=1 contract).
-      Block block(spec_, cfg.grid_dim, cfg.block_dim);
-      BlockTracer tracer(spec_, cfg.block_dim, racecheck_);
-      for (int b = 0; b < cfg.grid_dim; ++b) {
-        bool traced = (b % stride) == 0;
-        if (traced) tracer.Reset(cfg.block_dim);
-        block.ResetFor(b, traced ? &tracer : nullptr);
-        body(block);
-        shared_used = std::max(shared_used, block.shared_bytes_used());
-        if (shared_used > spec_.shared_mem_per_block) {
-          return Status::ResourceExhausted(
-              std::string(cfg.name) + ": block shared memory " +
-              std::to_string(shared_used) + " B exceeds device limit " +
-              std::to_string(spec_.shared_mem_per_block) + " B");
-        }
-        if (traced) {
-          tracer.Analyze(&stats.metrics);
-          if (racecheck_) {
-            RaceChecker::CheckBlock(tracer, spec_, stats.name, b, &stats.race);
-          }
+    // Shard blocks round-robin over W workers (W = 1 runs inline on the
+    // caller), each with its own Block/BlockTracer and local accumulators;
+    // merge in block order after the join so every metric, race report and
+    // timing is independent of W (see simt/workers.h for the
+    // atomics/turnstile contract that makes the traces themselves
+    // worker-count-invariant).
+    const int workers = std::max(1, std::min(host_workers_, cfg.grid_dim));
+    struct WorkerCtx {
+      WorkerCtx(const DeviceSpec& spec, const LaunchConfig& cfg,
+                bool racecheck)
+          : block(spec, cfg.grid_dim, cfg.block_dim),
+            tracer(spec, cfg.block_dim, racecheck) {}
+      Block block;
+      BlockTracer tracer;
+      KernelMetrics metrics;
+      size_t shared_used = 0;
+      std::vector<std::pair<int, RaceReport>> race;  // per traced block
+    };
+    std::vector<std::unique_ptr<WorkerCtx>> ctx;
+    ctx.reserve(workers);
+    for (int w = 0; w < workers; ++w) {
+      ctx.push_back(std::make_unique<WorkerCtx>(spec_, cfg, racecheck_));
+    }
+    // A single worker runs blocks in order, so its atomics need no turnstile
+    // and stay plain read-modify-writes.
+    LaunchOrder order(workers > 1 ? cfg.grid_dim : 0);
+    LaunchOrder* const turnstile = workers > 1 ? &order : nullptr;
+    const std::function<void(int, int)> run = [&](int w, int b) {
+      WorkerCtx& cx = *ctx[w];
+      bool traced = (b % stride) == 0;
+      if (traced) cx.tracer.Reset(cfg.block_dim);
+      cx.block.ResetFor(b, traced ? &cx.tracer : nullptr, turnstile);
+      body(cx.block);
+      size_t used = cx.block.shared_bytes_used();
+      cx.shared_used = std::max(cx.shared_used, used);
+      if (traced && used <= spec_.shared_mem_per_block) {
+        cx.tracer.Analyze(&cx.metrics);
+        if (racecheck_) {
+          cx.race.emplace_back(b, RaceReport{});
+          RaceChecker::CheckBlock(cx.tracer, spec_, stats.name, b,
+                                  &cx.race.back().second);
         }
       }
-    } else {
-      // Parallel path: shard blocks round-robin over W workers, each with
-      // its own Block/BlockTracer and local accumulators; merge in block
-      // order after the join so every metric, race report and timing is
-      // bit-identical to the sequential loop (see simt/workers.h for the
-      // atomics/turnstile contract that makes the traces themselves
-      // worker-count-invariant).
-      struct WorkerCtx {
-        WorkerCtx(const DeviceSpec& spec, const LaunchConfig& cfg,
-                  bool racecheck)
-            : block(spec, cfg.grid_dim, cfg.block_dim),
-              tracer(spec, cfg.block_dim, racecheck) {}
-        Block block;
-        BlockTracer tracer;
-        KernelMetrics metrics;
-        size_t shared_used = 0;
-        std::vector<std::pair<int, RaceReport>> race;  // per traced block
-      };
-      std::vector<std::unique_ptr<WorkerCtx>> ctx;
-      ctx.reserve(workers);
-      for (int w = 0; w < workers; ++w) {
-        ctx.push_back(std::make_unique<WorkerCtx>(spec_, cfg, racecheck_));
-      }
-      LaunchOrder order(cfg.grid_dim);
-      const std::function<void(int, int)> run = [&](int w, int b) {
-        WorkerCtx& cx = *ctx[w];
-        bool traced = (b % stride) == 0;
-        if (traced) cx.tracer.Reset(cfg.block_dim);
-        cx.block.ResetFor(b, traced ? &cx.tracer : nullptr, &order);
-        body(cx.block);
-        size_t used = cx.block.shared_bytes_used();
-        cx.shared_used = std::max(cx.shared_used, used);
-        if (traced && used <= spec_.shared_mem_per_block) {
-          cx.tracer.Analyze(&cx.metrics);
-          if (racecheck_) {
-            cx.race.emplace_back(b, RaceReport{});
-            RaceChecker::CheckBlock(cx.tracer, spec_, stats.name, b,
-                                    &cx.race.back().second);
-          }
-        }
-        order.MarkDone(b);
-      };
-      BlockWorkers::Instance().Run(workers, cfg.grid_dim, run);
+      if (turnstile != nullptr) turnstile->MarkDone(b);
+    };
+    BlockWorkers::Instance().Run(workers, cfg.grid_dim, run);
 
-      for (const auto& c : ctx) {
-        shared_used = std::max(shared_used, c->shared_used);
+    for (const auto& c : ctx) {
+      shared_used = std::max(shared_used, c->shared_used);
+    }
+    if (shared_used > spec_.shared_mem_per_block) {
+      // All kernels in this library allocate shared memory uniformly per
+      // block, so the peak is every block's usage.
+      return Status::ResourceExhausted(
+          std::string(cfg.name) + ": block shared memory " +
+          std::to_string(shared_used) + " B exceeds device limit " +
+          std::to_string(spec_.shared_mem_per_block) + " B");
+    }
+    // Metric counters are all uint64 and Analyze only accumulates, so
+    // summing per-worker locals in any order gives the same totals.
+    for (const auto& c : ctx) stats.metrics += c->metrics;
+    if (racecheck_) {
+      // Race reports cap recorded hazards, so merge order matters:
+      // restore block order across workers.
+      std::vector<std::pair<int, RaceReport>*> reports;
+      for (auto& c : ctx) {
+        for (auto& r : c->race) reports.push_back(&r);
       }
-      if (shared_used > spec_.shared_mem_per_block) {
-        // All kernels in this library allocate shared memory uniformly per
-        // block, so the peak equals the sequential loop's first-failure
-        // usage and the message matches the workers=1 path.
-        return Status::ResourceExhausted(
-            std::string(cfg.name) + ": block shared memory " +
-            std::to_string(shared_used) + " B exceeds device limit " +
-            std::to_string(spec_.shared_mem_per_block) + " B");
-      }
-      // Metric counters are all uint64 and Analyze only accumulates, so
-      // summing per-worker locals in any order reproduces the sequential
-      // totals exactly.
-      for (const auto& c : ctx) stats.metrics += c->metrics;
-      if (racecheck_) {
-        // Race reports cap recorded hazards, so merge order matters:
-        // restore block order across workers.
-        std::vector<std::pair<int, RaceReport>*> reports;
-        for (auto& c : ctx) {
-          for (auto& r : c->race) reports.push_back(&r);
-        }
-        std::sort(reports.begin(), reports.end(),
-                  [](const auto* a, const auto* b) {
-                    return a->first < b->first;
-                  });
-        for (const auto* r : reports) stats.race.Merge(r->second);
-      }
+      std::sort(reports.begin(), reports.end(),
+                [](const auto* a, const auto* b) {
+                  return a->first < b->first;
+                });
+      for (const auto* r : reports) stats.race.Merge(r->second);
     }
     race_report_.Merge(stats.race);
     stats.metrics.blocks_launched = cfg.grid_dim;
@@ -375,7 +351,7 @@ class Device {
   /// every count — pinned by tests/parallel_launch_test.cc). Initialized
   /// from DeviceSpec::host_workers, falling back to the MPTOPK_WORKERS
   /// environment variable / bench --workers override, then
-  /// min(hardware_concurrency, 8). 1 = the legacy sequential loop.
+  /// min(hardware_concurrency, 8). 1 = every block in order on the caller.
   void set_host_workers(int workers) {
     host_workers_ = workers < 1 ? 1 : workers;
   }

@@ -67,7 +67,7 @@ struct DeviceSpec {
   /// simulated metrics and timings are bit-identical for every value — see
   /// docs/simulator.md). 0 = auto: the MPTOPK_WORKERS environment variable
   /// (or the bench --workers override) when set, else
-  /// min(hardware_concurrency, 8). 1 = the legacy sequential loop.
+  /// min(hardware_concurrency, 8). 1 = every block in order on the caller.
   int host_workers = 0;
 
   // --- Debug tooling -------------------------------------------------------

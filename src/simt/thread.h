@@ -23,7 +23,7 @@ struct Thread {
   uint32_t global_seq = 0;
   uint32_t shared_seq = 0;
 
-  // Parallel-launch state (null on the sequential workers=1 path). Set, the
+  // Parallel-launch state (null when the launch runs on one worker). Set, the
   // global spans execute atomics as real RMWs, and value-returning ones
   // turnstile on `order` for sequential-equivalent results (simt/workers.h).
   LaunchOrder* order = nullptr;

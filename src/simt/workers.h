@@ -4,7 +4,8 @@
 // (`BlockWorkers`), worker w running blocks w, w+W, w+2W, ... in increasing
 // order, each with its own Block / BlockTracer context. Simulated time is
 // derived purely from traced metrics, so parallel execution must only keep
-// the *traces* identical to the sequential loop — which it does:
+// the *traces* identical to a one-worker launch, which runs the blocks in
+// order on the calling thread with plain atomics — and it does:
 //
 //  * Per-block state (shared memory, scratch, tracer) is per-worker; traced
 //    addresses and sequence numbers depend only on the block index.

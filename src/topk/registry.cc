@@ -192,20 +192,8 @@ cost::Workload RoundKUp(const cost::Workload& w) {
   return w2;
 }
 
-// Cost hooks: the Section 7 models, with each operator's feasibility rule
-// (previously inlined in planner/plan_topk.cc) owned by the operator.
-double SortCost(const simt::DeviceSpec& s, const cost::Workload& w) {
-  return cost::SortCostMs(s, w);
-}
-double PerThreadCost(const simt::DeviceSpec& s, const cost::Workload& w) {
-  return cost::PerThreadCostMs(s, w);  // negative when beyond shared memory
-}
-double RadixSelectCost(const simt::DeviceSpec& s, const cost::Workload& w) {
-  return cost::RadixSelectCostMs(s, w);
-}
-double BucketSelectCost(const simt::DeviceSpec& s, const cost::Workload& w) {
-  return cost::BucketSelectCostMs(s, w);
-}
+// Cost hooks of the comparison networks: the Section 7 models behind each
+// operator's feasibility rule. The other GPU operators use their model as is.
 double BitonicCost(const simt::DeviceSpec& s, const cost::Workload& w) {
   // Two k-runs per tile (same rule as the kernels).
   size_t tile_limit = 4096 / 2;
@@ -218,18 +206,9 @@ double HybridCost(const simt::DeviceSpec& s, const cost::Workload& w) {
   return cost::HybridCostMs(s, RoundKUp(w));
 }
 
-OperatorCaps GpuCaps(double (*cost)(const simt::DeviceSpec&,
-                                    const cost::Workload&)) {
-  OperatorCaps c;
-  c.backend = Backend::kGpuSim;
-  c.elem_types = kAllElemTypes;
-  c.cost_ms = cost;
-  return c;
-}
-
-// The dispatcher semantics the deprecated enum switch used for the
-// comparison-network methods: round k up to a power of two, trim the
-// result, and fall back to radix select when the round-up would exceed n.
+// The comparison-network methods (bitonic, hybrid): round k up to a power of
+// two, trim the result, and fall back to radix select when the round-up
+// would exceed n.
 template <typename E, typename RunFn>
 StatusOr<gpu::TopKResult<E>> RunRoundedPow2(const simt::ExecCtx& dev,
                                             simt::DeviceBuffer<E>& data,
@@ -241,229 +220,177 @@ StatusOr<gpu::TopKResult<E>> RunRoundedPow2(const simt::ExecCtx& dev,
   return r;
 }
 
-class SortOperator final : public TopKOperator {
+// The device adapter: a GPU operator is its caps plus one generic callable
+// `run(dev, data, n, k)` over device-resident data, instantiated for every
+// element type. The host entry stages the input (TopKOperator::RunHost).
+template <typename RunFn>
+class DeviceOperator final : public TopKOperator {
  public:
-  SortOperator() : TopKOperator("Sort", GpuCaps(&SortCost)) {}
+  DeviceOperator(const char* name, const char* display_name, OperatorCaps caps,
+                 RunFn run)
+      : TopKOperator(name, display_name, caps), run_(std::move(run)) {}
 
  protected:
-#define MPTOPK_X(T, EN, NAME)                                               \
-  StatusOr<gpu::TopKResult<T>> RunDevice(                                   \
-      const simt::ExecCtx& dev, simt::DeviceBuffer<T>& data, size_t n,      \
-      size_t k) const override {                                            \
-    return gpu::SortTopKDevice(dev, data, n, k);                            \
+#define MPTOPK_X(T, EN, NAME)                                              \
+  StatusOr<gpu::TopKResult<T>> RunDevice(                                  \
+      const simt::ExecCtx& dev, simt::DeviceBuffer<T>& data, size_t n,     \
+      size_t k) const override {                                           \
+    return run_(dev, data, n, k);                                          \
   }
   MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
 #undef MPTOPK_X
-};
-
-class PerThreadOperator final : public TopKOperator {
- public:
-  PerThreadOperator()
-      : TopKOperator("PerThreadTopK", "PerThread", GpuCaps(&PerThreadCost)) {}
-
- protected:
-#define MPTOPK_X(T, EN, NAME)                                               \
-  StatusOr<gpu::TopKResult<T>> RunDevice(                                   \
-      const simt::ExecCtx& dev, simt::DeviceBuffer<T>& data, size_t n,      \
-      size_t k) const override {                                            \
-    return gpu::PerThreadTopKDevice(dev, data, n, k);                       \
-  }
-  MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
-#undef MPTOPK_X
-};
-
-class RadixSelectOperator final : public TopKOperator {
- public:
-  RadixSelectOperator()
-      : TopKOperator("RadixSelect", GpuCaps(&RadixSelectCost)) {}
-
- protected:
-#define MPTOPK_X(T, EN, NAME)                                               \
-  StatusOr<gpu::TopKResult<T>> RunDevice(                                   \
-      const simt::ExecCtx& dev, simt::DeviceBuffer<T>& data, size_t n,      \
-      size_t k) const override {                                            \
-    return gpu::RadixSelectTopKDevice(dev, data, n, k);                     \
-  }
-  MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
-#undef MPTOPK_X
-};
-
-class BucketSelectOperator final : public TopKOperator {
- public:
-  BucketSelectOperator()
-      : TopKOperator("BucketSelect", GpuCaps(&BucketSelectCost)) {}
-
- protected:
-#define MPTOPK_X(T, EN, NAME)                                               \
-  StatusOr<gpu::TopKResult<T>> RunDevice(                                   \
-      const simt::ExecCtx& dev, simt::DeviceBuffer<T>& data, size_t n,      \
-      size_t k) const override {                                            \
-    return gpu::BucketSelectTopKDevice(dev, data, n, k);                    \
-  }
-  MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
-#undef MPTOPK_X
-};
-
-class BitonicOperator final : public TopKOperator {
- public:
-  BitonicOperator() : TopKOperator("BitonicTopK", Caps()) {}
 
  private:
-  static OperatorCaps Caps() {
-    OperatorCaps c = GpuCaps(&BitonicCost);
-    c.rounds_k_up = true;
-    return c;
-  }
-
- protected:
-#define MPTOPK_X(T, EN, NAME)                                               \
-  StatusOr<gpu::TopKResult<T>> RunDevice(                                   \
-      const simt::ExecCtx& dev, simt::DeviceBuffer<T>& data, size_t n,      \
-      size_t k) const override {                                            \
-    return RunRoundedPow2(dev, data, n, k, [&](size_t k2) {                 \
-      return gpu::BitonicTopKDevice(dev, data, n, k2, gpu::BitonicOptions{}); \
-    });                                                                     \
-  }
-  MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
-#undef MPTOPK_X
+  RunFn run_;
 };
 
-class HybridOperator final : public TopKOperator {
+// The host adapter: an operator with only a host-resident entry point
+// `run(dev, data, n, k)`. The callable is instantiated only for the element
+// types in kElems (the streaming and CPU backends are explicitly
+// instantiated for a subset), and kElems becomes caps().elem_types.
+template <uint32_t kElems, typename RunFn>
+class HostOperator final : public TopKOperator {
  public:
-  HybridOperator() : TopKOperator("HybridTopK", Caps()) {}
-
- private:
-  static OperatorCaps Caps() {
-    OperatorCaps c = GpuCaps(&HybridCost);
-    c.rounds_k_up = true;
-    c.extension = true;
-    return c;
-  }
+  HostOperator(const char* name, OperatorCaps caps, RunFn run)
+      : TopKOperator(name, WithElems(caps)), run_(std::move(run)) {}
 
  protected:
-#define MPTOPK_X(T, EN, NAME)                                               \
-  StatusOr<gpu::TopKResult<T>> RunDevice(                                   \
-      const simt::ExecCtx& dev, simt::DeviceBuffer<T>& data, size_t n,      \
-      size_t k) const override {                                            \
-    return RunRoundedPow2(dev, data, n, k, [&](size_t k2) {                 \
-      return gpu::HybridTopKDevice(dev, data, n, k2, gpu::HybridOptions{}); \
-    });                                                                     \
-  }
-  MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
-#undef MPTOPK_X
-};
-
-class ChunkedOperator final : public TopKOperator {
- public:
-  ChunkedOperator() : TopKOperator("ChunkedTopK", Caps()) {}
-
- private:
-  static OperatorCaps Caps() {
-    OperatorCaps c;
-    c.backend = Backend::kGpuSim;
-    c.elem_types = kChunkedElemTypes;
-    c.streams_host_input = true;
-    c.rounds_k_up = true;       // the per-chunk reduction is bitonic
-    c.supports_bottom_k = false;  // no staged full-input negate pass
-    return c;
-  }
-
-  // Streaming host entry only — chunked.h's default geometry (auto chunk
-  // size, bitonic per-chunk reduction), exactly the resilient executor's
-  // legacy degrade call.
 #define MPTOPK_X(T, EN, NAME)                                              \
   StatusOr<gpu::TopKResult<T>> RunHost(const simt::ExecCtx& dev,           \
                                        const T* data, size_t n, size_t k)  \
       const override {                                                     \
-    MPTOPK_ASSIGN_OR_RETURN(auto c, gpu::ChunkedTopK(dev, data, n, k));    \
-    gpu::TopKResult<T> r;                                                  \
-    r.items = std::move(c.items);                                          \
-    r.kernel_ms = c.kernel_ms;                                             \
-    return r;                                                              \
+    if constexpr ((kElems & ElemTypeOf<T>::bit) != 0) {                    \
+      return run_(dev, data, n, k);                                        \
+    } else {                                                               \
+      return TopKOperator::RunHost(dev, data, n, k);                       \
+    }                                                                      \
   }
- protected:
-  MPTOPK_X(float, kF32, "f32")
-  MPTOPK_X(double, kF64, "f64")
-  MPTOPK_X(uint32_t, kU32, "u32")
-  MPTOPK_X(int32_t, kI32, "i32")
-  MPTOPK_X(::mptopk::KV, kKV, "kv")
+  MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
 #undef MPTOPK_X
-};
-
-class CpuOperator final : public TopKOperator {
- public:
-  CpuOperator(std::string name, cpu::CpuAlgorithm algo, int fallback_rank,
-              bool pow2_only, size_t max_k)
-      : TopKOperator(std::move(name),
-                     Caps(fallback_rank, pow2_only, max_k)),
-        algo_(algo) {}
 
  private:
-  static OperatorCaps Caps(int fallback_rank, bool pow2_only, size_t max_k) {
-    OperatorCaps c;
-    c.backend = Backend::kCpu;
-    c.elem_types = kCpuElemTypes;
-    c.pow2_k_only = pow2_only;
-    c.max_k = max_k;
-    c.retry_transient = false;  // host execution has no transient faults
-    c.fallback_rank = fallback_rank;
-    return c;
+  static OperatorCaps WithElems(OperatorCaps caps) {
+    caps.elem_types = kElems;
+    return caps;
   }
 
-  cpu::CpuAlgorithm algo_;
-
-  // Host entry only, for the CPU-instantiated element set; wall-clock goes
-  // to TopKResult::host_ms (kernel_ms stays 0 — no simulated device time).
-#define MPTOPK_X(T, EN, NAME)                                              \
-  StatusOr<gpu::TopKResult<T>> RunHost(const simt::ExecCtx&, const T* data, \
-                                       size_t n, size_t k) const override { \
-    MPTOPK_ASSIGN_OR_RETURN(auto c, cpu::CpuTopK(data, n, k, algo_));      \
-    gpu::TopKResult<T> r;                                                  \
-    r.items = std::move(c.items);                                          \
-    r.host_ms = c.wall_ms;                                                 \
-    return r;                                                              \
-  }
- protected:
-  MPTOPK_X(float, kF32, "f32")
-  MPTOPK_X(double, kF64, "f64")
-  MPTOPK_X(uint32_t, kU32, "u32")
-  MPTOPK_X(int32_t, kI32, "i32")
-  MPTOPK_X(int64_t, kI64, "i64")
-  MPTOPK_X(::mptopk::KV, kKV, "kv")
-#undef MPTOPK_X
+  RunFn run_;
 };
 
-// Display order mirrors the paper's presentation (and the legacy bench
-// column order): the five core GPU algorithms, the hybrid extension, the
-// streaming executor, then the CPU baselines.
-OperatorRegistrar r_sort(std::make_unique<SortOperator>(), 10, {"sort"});
-OperatorRegistrar r_perthread(std::make_unique<PerThreadOperator>(), 20,
-                              {"perthread"});
-OperatorRegistrar r_radix(std::make_unique<RadixSelectOperator>(), 30,
-                          {"radix_select"});
-OperatorRegistrar r_bucket(std::make_unique<BucketSelectOperator>(), 40,
-                           {"bucket_select"});
-OperatorRegistrar r_bitonic(std::make_unique<BitonicOperator>(), 50,
-                            {"bitonic"});
-OperatorRegistrar r_hybrid(std::make_unique<HybridOperator>(), 60,
-                           {"hybrid"});
-OperatorRegistrar r_chunked(std::make_unique<ChunkedOperator>(), 70,
-                            {"chunked"});
-OperatorRegistrar r_cpu_stl(
-    std::make_unique<CpuOperator>("cpu:StlPq", cpu::CpuAlgorithm::kStlPq,
-                                  /*fallback_rank=*/1, /*pow2_only=*/false,
-                                  /*max_k=*/0),
-    80, {"stlpq", "cpu_stlpq"});
-OperatorRegistrar r_cpu_hand(
-    std::make_unique<CpuOperator>("cpu:HandPq", cpu::CpuAlgorithm::kHandPq,
-                                  /*fallback_rank=*/0, /*pow2_only=*/false,
-                                  /*max_k=*/0),
-    90, {"handpq", "cpu_handpq"});
-OperatorRegistrar r_cpu_bitonic(
-    std::make_unique<CpuOperator>("cpu:Bitonic", cpu::CpuAlgorithm::kBitonic,
-                                  /*fallback_rank=*/2, /*pow2_only=*/true,
-                                  /*max_k=*/256),
-    100, {"cpu_bitonic"});
+template <typename RunFn>
+std::unique_ptr<TopKOperator> Device(const char* name, const char* display_name,
+                                     OperatorCaps caps, RunFn run) {
+  return std::make_unique<DeviceOperator<RunFn>>(name, display_name, caps,
+                                                 std::move(run));
+}
+
+template <uint32_t kElems, typename RunFn>
+std::unique_ptr<TopKOperator> Host(const char* name, OperatorCaps caps,
+                                   RunFn run) {
+  return std::make_unique<HostOperator<kElems, RunFn>>(name, caps,
+                                                       std::move(run));
+}
+
+// A CPU baseline: wall-clock goes to TopKResult::host_ms (kernel_ms stays 0
+// — no simulated device time). Host execution has no transient faults.
+std::unique_ptr<TopKOperator> Cpu(const char* name, cpu::CpuAlgorithm algo,
+                                  int fallback_rank, bool pow2_only,
+                                  size_t max_k) {
+  return Host<kCpuElemTypes>(
+      name,
+      {.backend = Backend::kCpu,
+       .pow2_k_only = pow2_only,
+       .max_k = max_k,
+       .retry_transient = false,
+       .fallback_rank = fallback_rank},
+      [algo]<typename E>(const simt::ExecCtx&, const E* data, size_t n,
+                         size_t k) -> StatusOr<gpu::TopKResult<E>> {
+        MPTOPK_ASSIGN_OR_RETURN(auto c, cpu::CpuTopK(data, n, k, algo));
+        gpu::TopKResult<E> r;
+        r.items = std::move(c.items);
+        r.host_ms = c.wall_ms;
+        return r;
+      });
+}
+
+// Display order mirrors the paper's presentation (and the bench column
+// order): the five core GPU algorithms, the hybrid extension, the streaming
+// executor, then the CPU baselines.
+OperatorRegistrar r_sort(
+    Device("Sort", "Sort", {.cost_ms = &cost::SortCostMs},
+           [](const simt::ExecCtx& dev, auto& data, size_t n, size_t k) {
+             return gpu::SortTopKDevice(dev, data, n, k);
+           }),
+    10, {"sort"});
+OperatorRegistrar r_perthread(
+    Device("PerThreadTopK", "PerThread", {.cost_ms = &cost::PerThreadCostMs},
+           [](const simt::ExecCtx& dev, auto& data, size_t n, size_t k) {
+             return gpu::PerThreadTopKDevice(dev, data, n, k);
+           }),
+    20, {"perthread"});
+OperatorRegistrar r_radix(
+    Device("RadixSelect", "RadixSelect", {.cost_ms = &cost::RadixSelectCostMs},
+           [](const simt::ExecCtx& dev, auto& data, size_t n, size_t k) {
+             return gpu::RadixSelectTopKDevice(dev, data, n, k);
+           }),
+    30, {"radix_select"});
+OperatorRegistrar r_bucket(
+    Device("BucketSelect", "BucketSelect",
+           {.cost_ms = &cost::BucketSelectCostMs},
+           [](const simt::ExecCtx& dev, auto& data, size_t n, size_t k) {
+             return gpu::BucketSelectTopKDevice(dev, data, n, k);
+           }),
+    40, {"bucket_select"});
+OperatorRegistrar r_bitonic(
+    Device("BitonicTopK", "BitonicTopK",
+           {.rounds_k_up = true, .cost_ms = &BitonicCost},
+           [](const simt::ExecCtx& dev, auto& data, size_t n, size_t k) {
+             return RunRoundedPow2(dev, data, n, k, [&](size_t k2) {
+               return gpu::BitonicTopKDevice(dev, data, n, k2,
+                                             gpu::BitonicOptions{});
+             });
+           }),
+    50, {"bitonic"});
+OperatorRegistrar r_hybrid(
+    Device("HybridTopK", "HybridTopK",
+           {.rounds_k_up = true, .extension = true, .cost_ms = &HybridCost},
+           [](const simt::ExecCtx& dev, auto& data, size_t n, size_t k) {
+             return RunRoundedPow2(dev, data, n, k, [&](size_t k2) {
+               return gpu::HybridTopKDevice(dev, data, n, k2,
+                                            gpu::HybridOptions{});
+             });
+           }),
+    60, {"hybrid"});
+// Streaming host entry only, with chunked.h's default geometry (auto chunk
+// size, bitonic per-chunk reduction). The per-chunk reduction rounds k up;
+// there is no staged full-input negate pass for bottom-k.
+OperatorRegistrar r_chunked(
+    Host<kChunkedElemTypes>(
+        "ChunkedTopK",
+        {.rounds_k_up = true,
+         .streams_host_input = true,
+         .supports_bottom_k = false},
+        []<typename E>(const simt::ExecCtx& dev, const E* data, size_t n,
+                       size_t k) -> StatusOr<gpu::TopKResult<E>> {
+          MPTOPK_ASSIGN_OR_RETURN(auto c, gpu::ChunkedTopK(dev, data, n, k));
+          gpu::TopKResult<E> r;
+          r.items = std::move(c.items);
+          r.kernel_ms = c.kernel_ms;
+          return r;
+        }),
+    70, {"chunked"});
+OperatorRegistrar r_cpu_stl(Cpu("cpu:StlPq", cpu::CpuAlgorithm::kStlPq,
+                                /*fallback_rank=*/1, /*pow2_only=*/false,
+                                /*max_k=*/0),
+                            80, {"stlpq", "cpu_stlpq"});
+OperatorRegistrar r_cpu_hand(Cpu("cpu:HandPq", cpu::CpuAlgorithm::kHandPq,
+                                 /*fallback_rank=*/0, /*pow2_only=*/false,
+                                 /*max_k=*/0),
+                             90, {"handpq", "cpu_handpq"});
+OperatorRegistrar r_cpu_bitonic(Cpu("cpu:Bitonic", cpu::CpuAlgorithm::kBitonic,
+                                    /*fallback_rank=*/2, /*pow2_only=*/true,
+                                    /*max_k=*/256),
+                                100, {"cpu_bitonic"});
 
 }  // namespace
 

@@ -2,12 +2,12 @@
 // GPU-simulated algorithms, the chunked streaming executor and the three
 // CPU baselines — is one TopKOperator with an OperatorCaps descriptor, and
 // consumers (planner, resilient executor, query engine, benches, tests)
-// enumerate or resolve operators here instead of switching over the
-// deprecated gpu::Algorithm enum (gputopk/topk.h keeps thin shims).
+// enumerate or resolve operators here by name.
 //
-// Adding an operator is a one-file change: subclass TopKOperator, override
-// the Run hooks for the element types it supports, and register a static
-// OperatorRegistrar. The planner ranks it by its caps.cost_ms hook, the
+// Adding an operator is a one-file change: register a static
+// OperatorRegistrar for a TopKOperator whose Run hooks cover the element
+// types it supports (registry.cc builds each built-in from its caps and one
+// generic callable). The planner ranks it by its caps.cost_ms hook, the
 // resilient executor slots it into the fallback chain by backend, and the
 // property-differential sweep, degenerate-input tests and paper-figure
 // benches pick it up automatically (see docs/operators.md).
@@ -185,8 +185,7 @@ class TopKOperator {
   }
 
   /// Bottom-k (the k smallest, ascending order semantics of the caller):
-  /// top-k over order-negated keys, one extra counted negate pass. Kernel
-  /// sequence is identical to the legacy gpu::BottomKDevice.
+  /// top-k over order-negated keys, one extra counted negate pass.
   template <typename E>
   StatusOr<gpu::TopKResult<E>> BottomKDevice(const simt::ExecCtx& dev,
                                              simt::DeviceBuffer<E>& data,
@@ -238,7 +237,7 @@ class Registry {
 
   /// Registers an operator with a display `order` (All() sorts by it; the
   /// built-ins use 10..100 in the paper's presentation order) and optional
-  /// lookup aliases (the legacy flag spellings, e.g. "radix_select").
+  /// lookup aliases (the bench flag spellings, e.g. "radix_select").
   /// Duplicate canonical names abort: they are always a build bug.
   const TopKOperator* Register(std::unique_ptr<TopKOperator> op, int order,
                                std::vector<std::string> aliases = {});
@@ -300,8 +299,7 @@ const TopKOperator* StreamingFallback();
 
 namespace detail {
 
-/// The legacy bottom-k negate pass, bit-identical to gpu::BottomKDevice's:
-/// same kernel name, geometry and access pattern.
+/// The bottom-k negate pass: one grid-stride copy of the order-negated keys.
 template <typename E>
 Status NegateKeys(const simt::ExecCtx& dev, simt::DeviceBuffer<E>& in_buf,
                   simt::DeviceBuffer<E>& out_buf, size_t n) {
@@ -347,8 +345,7 @@ StatusOr<gpu::TopKResult<E>> TopKOperator::BottomKHost(
   }
   MPTOPK_RETURN_NOT_OK(CheckCaps(ElemTypeOf<E>::value, n, k));
   if (caps_.backend == Backend::kGpuSim) {
-    // Stage first, then run the device bottom-k — the exact legacy
-    // gpu::TopK(..., SortOrder::kSmallest) allocation/copy sequence.
+    // Stage first, then run the device bottom-k.
     MPTOPK_ASSIGN_OR_RETURN(auto buf, dev.Alloc<E>(n));
     MPTOPK_RETURN_NOT_OK(dev.CopyToDevice(buf, data, n));
     return BottomKDevice(dev, buf, n, k);

@@ -6,7 +6,7 @@
 #include <algorithm>
 
 #include "common/distributions.h"
-#include "gputopk/topk.h"
+#include "topk/registry.h"
 
 namespace mptopk::gpu {
 namespace {
@@ -19,13 +19,17 @@ std::vector<E> ReferenceBottom(std::vector<E> data, size_t k) {
   return data;
 }
 
-class BottomKTest : public ::testing::TestWithParam<Algorithm> {};
+const topk::TopKOperator* Bitonic() {
+  return topk::FindOperator("BitonicTopK").value();
+}
+
+class BottomKTest
+    : public ::testing::TestWithParam<const topk::TopKOperator*> {};
 
 TEST_P(BottomKTest, FloatsAscending) {
   auto data = GenerateFloats(1 << 15, Distribution::kUniform, 21);
   simt::Device dev;
-  auto r = TopK(dev, data.data(), data.size(), 32, GetParam(),
-                SortOrder::kSmallest);
+  auto r = GetParam()->BottomKHost(dev, data.data(), data.size(), 32);
   ASSERT_TRUE(r.ok()) << r.status();
   auto expect = ReferenceBottom(data, 32);
   ASSERT_EQ(r->items.size(), 32u);
@@ -39,8 +43,7 @@ TEST_P(BottomKTest, SignedIntsIncludingMin) {
   data[100] = INT32_MIN;  // ~x must handle the extremes
   data[200] = INT32_MAX;
   simt::Device dev;
-  auto r = TopK(dev, data.data(), data.size(), 16, GetParam(),
-                SortOrder::kSmallest);
+  auto r = GetParam()->BottomKHost(dev, data.data(), data.size(), 16);
   ASSERT_TRUE(r.ok()) << r.status();
   auto expect = ReferenceBottom(data, 16);
   EXPECT_EQ(r->items, expect);
@@ -48,15 +51,8 @@ TEST_P(BottomKTest, SignedIntsIncludingMin) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, BottomKTest,
-                         ::testing::Values(Algorithm::kSort,
-                                           Algorithm::kPerThread,
-                                           Algorithm::kRadixSelect,
-                                           Algorithm::kBucketSelect,
-                                           Algorithm::kBitonic,
-                                           Algorithm::kHybrid),
-                         [](const auto& info) {
-                           return AlgorithmName(info.param);
-                         });
+                         ::testing::ValuesIn(topk::GpuSweepOperators(true)),
+                         [](const auto& info) { return info.param->name(); });
 
 TEST(BottomKTest, KVPayloadsFollowSmallestKeys) {
   auto keys = GenerateFloats(1 << 14, Distribution::kUniform, 23);
@@ -65,8 +61,7 @@ TEST(BottomKTest, KVPayloadsFollowSmallestKeys) {
     data[i] = KV{keys[i], static_cast<uint32_t>(i)};
   }
   simt::Device dev;
-  auto r = TopK(dev, data.data(), data.size(), 16, Algorithm::kBitonic,
-                SortOrder::kSmallest);
+  auto r = Bitonic()->BottomKHost(dev, data.data(), data.size(), 16);
   ASSERT_TRUE(r.ok()) << r.status();
   for (const KV& kv : r->items) {
     EXPECT_EQ(data[kv.value].key, kv.key);
@@ -77,12 +72,13 @@ TEST(BottomKTest, KVPayloadsFollowSmallestKeys) {
   }
 }
 
-TEST(BottomKTest, LargestDefaultUnchanged) {
+TEST(BottomKTest, LargestUnchangedByEntryPoint) {
   auto data = GenerateFloats(4096, Distribution::kUniform, 24);
   simt::Device d1, d2;
-  auto a = TopK(d1, data.data(), data.size(), 8);
-  auto b = TopK(d2, data.data(), data.size(), 8, Algorithm::kBitonic,
-                SortOrder::kLargest);
+  auto a = Bitonic()->TopKHost(d1, data.data(), data.size(), 8);
+  auto buf = d2.Alloc<float>(data.size()).value();
+  ASSERT_TRUE(d2.CopyToDevice(buf, data.data(), data.size()).ok());
+  auto b = Bitonic()->TopKDevice(d2, buf, data.size(), 8);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->items, b->items);

@@ -13,7 +13,8 @@ TEST(ChunkedTopKTest, MatchesSingleShot) {
   const size_t n = 1 << 18;
   auto data = GenerateFloats(n, Distribution::kUniform, 3);
   simt::Device d1, d2;
-  auto whole = TopK(d1, data.data(), n, 64);
+  auto whole = topk::FindOperator("BitonicTopK").value()->TopKHost(
+      d1, data.data(), n, 64);
   auto chunked = ChunkedTopK(d2, data.data(), n, 64, n / 8);
   ASSERT_TRUE(whole.ok());
   ASSERT_TRUE(chunked.ok());
@@ -68,7 +69,7 @@ TEST(ChunkedTopKTest, WorksWithRadixSelect) {
   auto data = GenerateFloats(n, Distribution::kUniform, 8);
   simt::Device dev;
   auto r = ChunkedTopK(dev, data.data(), n, 100, n / 4,
-                       Algorithm::kRadixSelect);
+                       topk::FindOperator("RadixSelect").value());
   ASSERT_TRUE(r.ok());
   std::vector<float> ref = data;
   std::sort(ref.begin(), ref.end(), std::greater<float>());

@@ -5,14 +5,14 @@
 
 #include "common/distributions.h"
 #include "cost/cost_model.h"
-#include "gputopk/topk.h"
+#include "gputopk/bitonic_topk.h"
+#include "gputopk/radix_select.h"
 #include "planner/plan_topk.h"
 
 namespace mptopk {
 namespace {
 
 using cost::Workload;
-using gpu::Algorithm;
 
 simt::DeviceSpec Spec() { return simt::DeviceSpec::TitanXMaxwell(); }
 
@@ -202,7 +202,8 @@ TEST(PlannerExtensionTest, HybridModelTracksSimulator) {
   auto data = GenerateU32(n, Distribution::kUniform);
   simt::Device dev;
   dev.set_trace_sample_target(32);
-  auto r = gpu::TopK(dev, data.data(), n, 32, gpu::Algorithm::kHybrid);
+  auto r = topk::FindOperator("HybridTopK").value()->TopKHost(
+      dev, data.data(), n, 32);
   ASSERT_TRUE(r.ok());
   double predicted =
       cost::HybridCostMs(Spec(), {n, 32, 4, 4, Distribution::kUniform});

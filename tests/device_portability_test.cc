@@ -5,7 +5,8 @@
 
 #include "common/distributions.h"
 #include "cost/cost_model.h"
-#include "gputopk/topk.h"
+#include "gputopk/bitonic_topk.h"
+#include "gputopk/perthread_topk.h"
 #include "planner/plan_topk.h"
 
 namespace mptopk {
@@ -16,13 +17,11 @@ TEST(DevicePortabilityTest, AlgorithmsCorrectOnP100) {
   auto data = GenerateFloats(1 << 16, Distribution::kUniform, 31);
   std::vector<float> ref = data;
   std::sort(ref.begin(), ref.end(), std::greater<float>());
-  for (auto a : {gpu::Algorithm::kSort, gpu::Algorithm::kPerThread,
-                 gpu::Algorithm::kRadixSelect, gpu::Algorithm::kBucketSelect,
-                 gpu::Algorithm::kBitonic, gpu::Algorithm::kHybrid}) {
-    auto r = gpu::TopK(dev, data.data(), data.size(), 32, a);
-    ASSERT_TRUE(r.ok()) << gpu::AlgorithmName(a) << ": " << r.status();
+  for (const topk::TopKOperator* op : topk::GpuSweepOperators(true)) {
+    auto r = op->TopKHost(dev, data.data(), data.size(), 32);
+    ASSERT_TRUE(r.ok()) << op->name() << ": " << r.status();
     for (size_t i = 0; i < 32; ++i) {
-      EXPECT_EQ(r->items[i], ref[i]) << gpu::AlgorithmName(a);
+      EXPECT_EQ(r->items[i], ref[i]) << op->name();
     }
   }
 }

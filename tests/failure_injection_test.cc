@@ -11,15 +11,13 @@
 #include "common/distributions.h"
 #include "engine/query.h"
 #include "engine/tweets.h"
+#include "gputopk/bitonic_topk.h"
 #include "gputopk/chunked.h"
-#include "gputopk/topk.h"
 #include "planner/resilient.h"
 
 namespace mptopk {
 namespace {
 
-using gpu::Algorithm;
-using gpu::AlgorithmName;
 using simt::FaultPlan;
 using simt::FaultPlanConfig;
 
@@ -170,7 +168,8 @@ TEST(FailureInjectionTest, AllocationReleasedAfterFailure) {
   }
   // RAII must return every byte, so the device is reusable.
   EXPECT_EQ(dev.allocated_bytes(), before);
-  auto r2 = gpu::TopK(dev, data.data(), 256, 8);
+  auto r2 = topk::FindOperator("BitonicTopK").value()->TopKHost(
+      dev, data.data(), 256, 8);
   EXPECT_TRUE(r2.ok()) << r2.status();
 }
 
@@ -184,9 +183,7 @@ TEST(FaultCampaignTest, AllocSweepEveryAlgorithm) {
   const size_t k = 32;
   auto data = GenerateFloats(n, Distribution::kUniform);
   const auto ref = TopKReference(data, k);
-  for (Algorithm algo :
-       {Algorithm::kSort, Algorithm::kPerThread, Algorithm::kRadixSelect,
-        Algorithm::kBucketSelect, Algorithm::kBitonic, Algorithm::kHybrid}) {
+  for (const topk::TopKOperator* op : topk::GpuSweepOperators(true)) {
     // Calibrate: count the algorithm's allocations under a no-fault plan.
     int allocs = 0;
     {
@@ -194,11 +191,11 @@ TEST(FaultCampaignTest, AllocSweepEveryAlgorithm) {
       auto buf = dev.Alloc<float>(n).value();
       ASSERT_TRUE(dev.CopyToDevice(buf, data.data(), n).ok());
       auto plan = Install(dev, FaultPlanConfig{});
-      auto r = gpu::TopKDevice(dev, buf, n, k, algo);
-      ASSERT_TRUE(r.ok()) << AlgorithmName(algo) << ": " << r.status();
+      auto r = op->TopKDevice(dev, buf, n, k);
+      ASSERT_TRUE(r.ok()) << op->name() << ": " << r.status();
       allocs = plan->stats().allocs_seen;
     }
-    ASSERT_GT(allocs, 0) << AlgorithmName(algo);
+    ASSERT_GT(allocs, 0) << op->name();
     for (int i = 1; i <= allocs; ++i) {
       simt::Device dev;
       auto buf = dev.Alloc<float>(n).value();
@@ -207,15 +204,15 @@ TEST(FaultCampaignTest, AllocSweepEveryAlgorithm) {
       cfg.fail_alloc_index = i;
       Install(dev, cfg);
       const size_t before = dev.allocated_bytes();
-      auto r = gpu::TopKDevice(dev, buf, n, k, algo);
+      auto r = op->TopKDevice(dev, buf, n, k);
       if (r.ok()) {
-        ASSERT_EQ(r->items.size(), k) << AlgorithmName(algo) << " alloc " << i;
+        ASSERT_EQ(r->items.size(), k) << op->name() << " alloc " << i;
         EXPECT_EQ(r->items.front(), ref.front());
       } else {
         EXPECT_FALSE(r.status().message().empty());
       }
       EXPECT_EQ(dev.allocated_bytes(), before)
-          << AlgorithmName(algo) << " leaked after failing alloc " << i;
+          << op->name() << " leaked after failing alloc " << i;
     }
   }
 }
@@ -387,6 +384,116 @@ TEST(ResilientTopKTest, SameSeedIsBitForBitDeterministic) {
   EXPECT_EQ(a.report.total_device_ms, b.report.total_device_ms);
   EXPECT_EQ(a.report.added_latency_ms, b.report.added_latency_ms);
   EXPECT_EQ(a.report.Summary(), b.report.Summary());
+}
+
+// Pins every ExecutionReport field the retry loop writes, so the loop's
+// accounting (attempt order, codes, backoff, counters, added latency) cannot
+// drift silently.
+struct ExpectedAttempt {
+  std::string stage;
+  StatusCode code;
+  double backoff_ms;
+};
+
+void ExpectReport(const planner::ExecutionReport& rep,
+                  const std::vector<ExpectedAttempt>& attempts, int retries,
+                  int fallbacks, int corruption_reruns, double backoff_ms,
+                  double added_latency_ms, const std::string& final_algorithm) {
+  ASSERT_EQ(rep.attempts.size(), attempts.size()) << rep.Summary();
+  for (size_t i = 0; i < attempts.size(); ++i) {
+    EXPECT_EQ(rep.attempts[i].stage, attempts[i].stage) << "attempt " << i;
+    EXPECT_EQ(rep.attempts[i].code, attempts[i].code) << "attempt " << i;
+    EXPECT_EQ(rep.attempts[i].backoff_ms, attempts[i].backoff_ms)
+        << "attempt " << i;
+  }
+  EXPECT_EQ(rep.retries, retries);
+  EXPECT_EQ(rep.fallbacks, fallbacks);
+  EXPECT_EQ(rep.corruption_reruns, corruption_reruns);
+  EXPECT_EQ(rep.backoff_ms, backoff_ms);
+  EXPECT_EQ(rep.added_latency_ms, added_latency_ms);
+  EXPECT_EQ(rep.final_algorithm, final_algorithm);
+}
+
+TEST(ResilientReportPinTest, StageInputCopyFaultIsRetried) {
+  const size_t n = 1 << 14;
+  const size_t k = 16;
+  auto data = GenerateFloats(n, Distribution::kUniform);
+  simt::Device dev;
+  FaultPlanConfig cfg;
+  cfg.fail_transfer_index = 1;  // the stage-input copy
+  Install(dev, cfg);
+  auto r = planner::ResilientTopK(dev, data.data(), n, k);
+  ASSERT_TRUE(r.ok()) << r.status();
+  ExpectReport(r->report,
+               {{"stage-input", StatusCode::kUnavailable, 0.25},
+                {"stage-input", StatusCode::kOk, 0.0},
+                {"BitonicTopK", StatusCode::kOk, 0.0}},
+               /*retries=*/1, /*fallbacks=*/0, /*corruption_reruns=*/0,
+               /*backoff_ms=*/0.25, /*added_latency_ms=*/0.25, "BitonicTopK");
+  EXPECT_EQ(r->items, TopKReference(data, k));
+}
+
+TEST(ResilientReportPinTest, CpuReadbackFaultIsRetried) {
+  const size_t n = 1 << 14;
+  const size_t k = 16;
+  auto data = GenerateFloats(n, Distribution::kUniform);
+  simt::Device dev;
+  auto buf = dev.Alloc<float>(n).value();
+  ASSERT_TRUE(dev.CopyToDevice(buf, data.data(), n).ok());
+  FaultPlanConfig cfg;
+  cfg.fail_alloc_above_bytes = 1;  // every GPU operator runs out
+  cfg.fail_transfer_index = 1;        // the first transfer: the readback
+  Install(dev, cfg);
+  auto r = planner::ResilientTopKDevice(dev, buf, n, k);
+  ASSERT_TRUE(r.ok()) << r.status();
+  const StatusCode oom = StatusCode::kResourceExhausted;
+  ExpectReport(r->report,
+               {{"BitonicTopK", oom, 0.0},
+                {"BucketSelect", oom, 0.0},
+                {"Sort", oom, 0.0},
+                {"RadixSelect", oom, 0.0},
+                {"PerThreadTopK", oom, 0.0},
+                {"cpu-readback", StatusCode::kUnavailable, 0.25},
+                {"cpu-readback", StatusCode::kOk, 0.0},
+                {"cpu:HandPq", StatusCode::kOk, 0.0}},
+               /*retries=*/1, /*fallbacks=*/5, /*corruption_reruns=*/0,
+               /*backoff_ms=*/0.25, /*added_latency_ms=*/0.24999999999999997,
+               "cpu:HandPq");
+  EXPECT_EQ(r->items, TopKReference(data, k));
+}
+
+TEST(ResilientReportPinTest, CorruptReadbackIsRerunOnce) {
+  const size_t n = 1 << 14;
+  const size_t k = 8;
+  auto data = GenerateFloats(n, Distribution::kUniform);
+  planner::ResilienceOptions opts;
+  opts.verify_samples = static_cast<int>(k);
+  // The last readback of a clean run carries the result.
+  int readbacks = 0;
+  {
+    simt::Device dev;
+    auto buf = dev.Alloc<float>(n).value();
+    ASSERT_TRUE(dev.CopyToDevice(buf, data.data(), n).ok());
+    auto plan = Install(dev, FaultPlanConfig{});
+    ASSERT_TRUE(planner::ResilientTopKDevice(dev, buf, n, k, opts).ok());
+    readbacks = plan->stats().readbacks_seen;
+  }
+  simt::Device dev;
+  auto buf = dev.Alloc<float>(n).value();
+  ASSERT_TRUE(dev.CopyToDevice(buf, data.data(), n).ok());
+  FaultPlanConfig cfg;
+  cfg.seed = 1;
+  cfg.corrupt_readback_index = readbacks;
+  Install(dev, cfg);
+  auto r = planner::ResilientTopKDevice(dev, buf, n, k, opts);
+  ASSERT_TRUE(r.ok()) << r.status();
+  ExpectReport(r->report,
+               {{"BitonicTopK", StatusCode::kInternal, 0.0},
+                {"BitonicTopK", StatusCode::kOk, 0.0}},
+               /*retries=*/0, /*fallbacks=*/0, /*corruption_reruns=*/1,
+               /*backoff_ms=*/0.0, /*added_latency_ms=*/0.011699681839080461,
+               "BitonicTopK");
+  EXPECT_EQ(r->items, TopKReference(data, k));
 }
 
 // --- Engine routing ----------------------------------------------------------

@@ -1,5 +1,6 @@
-// Cross-algorithm correctness tests: Sort, PerThread, RadixSelect,
-// BucketSelect and the TopK dispatcher, over k x distribution x type sweeps.
+// Cross-algorithm correctness tests: the registry's core GPU operators (Sort,
+// PerThread, RadixSelect, BucketSelect, Bitonic) over k x distribution x
+// type sweeps.
 // All algorithms must agree with the host reference (primary-key multiset).
 #include <gtest/gtest.h>
 
@@ -7,7 +8,12 @@
 #include <vector>
 
 #include "common/distributions.h"
-#include "gputopk/topk.h"
+#include "gputopk/bitonic_topk.h"
+#include "gputopk/bucket_select.h"
+#include "gputopk/perthread_topk.h"
+#include "gputopk/radix_select.h"
+#include "gputopk/radix_sort.h"
+#include "topk/registry.h"
 
 namespace mptopk::gpu {
 namespace {
@@ -34,7 +40,8 @@ void CheckKeys(const TopKResult<E>& got, const std::vector<E>& data,
 }
 
 struct AlgoCase {
-  Algorithm algo;
+  const topk::TopKOperator* op;
+  int index;  ///< position in the sweep, seeds the input
   size_t k;
   Distribution dist;
 };
@@ -42,26 +49,25 @@ struct AlgoCase {
 class AlgoSweepTest : public ::testing::TestWithParam<AlgoCase> {};
 
 TEST_P(AlgoSweepTest, MatchesReference) {
-  auto [algo, k, dist] = GetParam();
-  auto data =
-      GenerateFloats(1 << 16, dist, /*seed=*/k * 31 + static_cast<int>(algo));
+  auto [op, index, k, dist] = GetParam();
+  auto data = GenerateFloats(1 << 16, dist, /*seed=*/k * 31 + index);
   simt::Device dev;
-  auto r = TopK(dev, data.data(), data.size(), k, algo);
+  auto r = op->TopKHost(dev, data.data(), data.size(), k);
   ASSERT_TRUE(r.ok()) << r.status();
   CheckKeys(*r, data, k);
 }
 
 std::vector<AlgoCase> AllCases() {
   std::vector<AlgoCase> cases;
-  for (Algorithm a : {Algorithm::kSort, Algorithm::kPerThread,
-                      Algorithm::kRadixSelect, Algorithm::kBucketSelect,
-                      Algorithm::kBitonic}) {
+  int index = 0;
+  for (const topk::TopKOperator* op : topk::GpuSweepOperators()) {
     for (size_t k : {1, 2, 7, 32, 100, 256}) {
-      cases.push_back({a, k, Distribution::kUniform});
+      cases.push_back({op, index, k, Distribution::kUniform});
     }
-    cases.push_back({a, 32, Distribution::kIncreasing});
-    cases.push_back({a, 32, Distribution::kDecreasing});
-    cases.push_back({a, 32, Distribution::kBucketKiller});
+    cases.push_back({op, index, 32, Distribution::kIncreasing});
+    cases.push_back({op, index, 32, Distribution::kDecreasing});
+    cases.push_back({op, index, 32, Distribution::kBucketKiller});
+    ++index;
   }
   return cases;
 }
@@ -69,7 +75,7 @@ std::vector<AlgoCase> AllCases() {
 INSTANTIATE_TEST_SUITE_P(
     All, AlgoSweepTest, ::testing::ValuesIn(AllCases()),
     [](const auto& info) {
-      return std::string(AlgorithmName(info.param.algo)) + "_k" +
+      return info.param.op->name() + "_k" +
              std::to_string(info.param.k) + "_" +
              DistributionName(info.param.dist);
     });
@@ -78,12 +84,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 template <typename E>
 void TypeCase(const std::vector<E>& data, size_t k) {
-  for (Algorithm a : {Algorithm::kSort, Algorithm::kRadixSelect,
-                      Algorithm::kBucketSelect, Algorithm::kPerThread,
-                      Algorithm::kBitonic}) {
+  for (const topk::TopKOperator* op : topk::GpuSweepOperators()) {
     simt::Device dev;
-    auto r = TopK(dev, data.data(), data.size(), k, a);
-    ASSERT_TRUE(r.ok()) << AlgorithmName(a) << ": " << r.status();
+    auto r = op->TopKHost(dev, data.data(), data.size(), k);
+    ASSERT_TRUE(r.ok()) << op->name() << ": " << r.status();
     CheckKeys(*r, data, k);
   }
 }
@@ -98,15 +102,13 @@ TEST(AlgoTypesTest, KVPayloadSurvivesAllAlgorithms) {
   for (size_t i = 0; i < keys.size(); ++i) {
     data[i] = KV{keys[i], static_cast<uint32_t>(i)};
   }
-  for (Algorithm a : {Algorithm::kSort, Algorithm::kRadixSelect,
-                      Algorithm::kBucketSelect, Algorithm::kPerThread,
-                      Algorithm::kBitonic}) {
+  for (const topk::TopKOperator* op : topk::GpuSweepOperators()) {
     simt::Device dev;
-    auto r = TopK(dev, data.data(), data.size(), 32, a);
-    ASSERT_TRUE(r.ok()) << AlgorithmName(a) << ": " << r.status();
+    auto r = op->TopKHost(dev, data.data(), data.size(), 32);
+    ASSERT_TRUE(r.ok()) << op->name() << ": " << r.status();
     // Keys unique -> the payload must identify the original element.
     for (const KV& kv : r->items) {
-      EXPECT_EQ(data[kv.value].key, kv.key) << AlgorithmName(a);
+      EXPECT_EQ(data[kv.value].key, kv.key) << op->name();
     }
   }
 }

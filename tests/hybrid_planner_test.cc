@@ -34,13 +34,14 @@ TEST(HybridPlannerTest, HostResidentUniformPrefersCpu) {
 }
 
 TEST(HybridPlannerTest, SortedInputPushesCpuTowardBitonic) {
-  cpu::CpuAlgorithm best;
+  const topk::TopKOperator* best = nullptr;
   double uniform =
       CpuTopKCostMs(Cpu(), W(1ull << 26, 256), &best);
   double sorted = CpuTopKCostMs(
       Cpu(), W(1ull << 26, 256, Distribution::kIncreasing), &best);
   EXPECT_GT(sorted, uniform);
-  EXPECT_EQ(best, cpu::CpuAlgorithm::kBitonic)
+  ASSERT_NE(best, nullptr);
+  EXPECT_EQ(best->name(), "cpu:Bitonic")
       << "insert-per-element input should switch to data-oblivious bitonic";
 }
 

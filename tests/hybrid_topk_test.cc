@@ -6,8 +6,9 @@
 #include <algorithm>
 
 #include "common/distributions.h"
+#include "gputopk/bitonic_topk.h"
 #include "gputopk/hybrid_topk.h"
-#include "gputopk/topk.h"
+#include "topk/registry.h"
 
 namespace mptopk::gpu {
 namespace {
@@ -119,10 +120,11 @@ TEST(HybridTopKTest, KVPayloadsSurvive) {
   }
 }
 
-TEST(HybridTopKTest, DispatcherRoundsUpNonPowerOfTwoK) {
+TEST(HybridTopKTest, OperatorRoundsUpNonPowerOfTwoK) {
   auto data = GenerateFloats(1 << 15, Distribution::kUniform);
   simt::Device dev;
-  auto r = TopK(dev, data.data(), data.size(), 100, Algorithm::kHybrid);
+  auto r = topk::FindOperator("HybridTopK").value()->TopKHost(
+      dev, data.data(), data.size(), 100);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->items.size(), 100u);
   CheckAgainstReference(*r, data, 100);

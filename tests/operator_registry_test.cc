@@ -1,8 +1,8 @@
 // Tests for the unified top-k operator registry (topk/registry.h): caps
-// enforcement across every registered operator, name/alias resolution, the
-// deprecated gpu::Algorithm shims, and the one-file extension contract — a
-// dummy operator registered in this translation unit must show up in the
-// registry, the GPU sweep and the planner ranking with no edits elsewhere.
+// enforcement across every registered operator, name/alias resolution, and
+// the one-file extension contract — a dummy operator registered in this
+// translation unit must show up in the registry, the GPU sweep and the
+// planner ranking with no edits elsewhere.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 
 #include "common/bits.h"
 #include "common/distributions.h"
-#include "gputopk/topk.h"
 #include "planner/plan_topk.h"
 #include "topk/registry.h"
 
@@ -175,35 +174,6 @@ TEST(OperatorRegistryTest, AliasesResolveCaseInsensitively) {
     ASSERT_TRUE(r.ok()) << alias;
     EXPECT_EQ(r.value()->name(), canonical) << alias;
   }
-}
-
-TEST(OperatorRegistryTest, DeprecatedEnumShimsDelegateToRegistry) {
-  // The enum parser is now a registry lookup restricted to the six
-  // enum-addressable GPU algorithms.
-  auto a = gpu::ParseAlgorithm("bitonic");
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(*a, gpu::Algorithm::kBitonic);
-  EXPECT_STREQ(gpu::AlgorithmName(*a), "BitonicTopK");
-  // Registered but not enum-addressable.
-  EXPECT_FALSE(gpu::ParseAlgorithm("chunked").ok());
-  // Unknown everywhere: the error carries the registered list.
-  auto bad = gpu::ParseAlgorithm("nope");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().ToString().find("registered operators"),
-            std::string::npos);
-
-  // The shimmed gpu::TopK must produce the same result as the operator.
-  auto data = GenerateFloats(4096, Distribution::kUniform, 11);
-  simt::Device d1, d2;
-  auto via_enum =
-      gpu::TopK(d1, data.data(), data.size(), 32, gpu::Algorithm::kBitonic);
-  auto via_registry = topk::FindOperator("BitonicTopK")
-                          .value()
-                          ->TopKHost(d2, data.data(), data.size(), 32);
-  ASSERT_TRUE(via_enum.ok());
-  ASSERT_TRUE(via_registry.ok());
-  EXPECT_EQ(via_enum->items, via_registry->items);
-  EXPECT_EQ(via_enum->kernel_ms, via_registry->kernel_ms);
 }
 
 TEST(OperatorRegistryTest, DummyOperatorJoinsSweepAndPlannerRanking) {

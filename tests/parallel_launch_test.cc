@@ -1,9 +1,9 @@
 // The parallel block launcher's determinism contract (simt/workers.h):
 // for every worker count, simulated metrics, timings, race accounting and
-// canonical top-k results must be bit-identical to the sequential
-// workers=1 loop. Sweeps every algorithm, the chunked executor and the
-// query engine across workers in {1, 2, 7, 8} (7 catches shard-boundary
-// bugs), stress-tests the global-atomic turnstile, and runs a compact
+// canonical top-k results must be bit-identical to a one-worker launch.
+// Sweeps every registered GPU operator, the chunked executor and the query
+// engine across workers in {1, 2, 7, 8} (7 catches shard-boundary bugs),
+// stress-tests the global-atomic turnstile, and runs a compact
 // differential sweep at 4 workers. The TSan CI leg runs this binary with
 // MPTOPK_WORKERS=4 to prove the launcher data-race-free.
 #include <gtest/gtest.h>
@@ -20,15 +20,12 @@
 #include "engine/table.h"
 #include "engine/tweets.h"
 #include "gputopk/chunked.h"
-#include "gputopk/topk.h"
 #include "simt/device.h"
 #include "simt/workers.h"
 
 namespace mptopk {
 namespace {
 
-using gpu::Algorithm;
-using gpu::AlgorithmName;
 using simt::Block;
 using simt::Device;
 using simt::GlobalSpan;
@@ -261,10 +258,11 @@ TEST(ParallelLaunch, SampleStrideCeilDivision) {
 
 // --- Full algorithm sweep ----------------------------------------------------
 
-class AlgorithmSweep : public ::testing::TestWithParam<Algorithm> {};
+class AlgorithmSweep
+    : public ::testing::TestWithParam<const topk::TopKOperator*> {};
 
 TEST_P(AlgorithmSweep, BitIdenticalAcrossWorkerCounts) {
-  const Algorithm algo = GetParam();
+  const topk::TopKOperator* op = GetParam();
   const size_t n = 16384;
   // Power-of-two k so the hybrid runs too.
   const size_t k = 32;
@@ -272,17 +270,16 @@ TEST_P(AlgorithmSweep, BitIdenticalAcrossWorkerCounts) {
 
   Device base;
   base.set_host_workers(1);
-  auto r0 = gpu::TopK(base, data.data(), n, k, algo);
+  auto r0 = op->TopKHost(base, data.data(), n, k);
   ASSERT_TRUE(r0.ok()) << r0.status();
 
   for (int w : kWorkerSweep) {
     if (w == 1) continue;
     Device dev;
     dev.set_host_workers(w);
-    auto r = gpu::TopK(dev, data.data(), n, k, algo);
+    auto r = op->TopKHost(dev, data.data(), n, k);
     ASSERT_TRUE(r.ok()) << r.status();
-    const std::string label =
-        std::string(AlgorithmName(algo)) + " workers=" + std::to_string(w);
+    const std::string label = op->name() + " workers=" + std::to_string(w);
     ASSERT_EQ(r0->items.size(), r->items.size()) << label;
     for (size_t i = 0; i < r->items.size(); ++i) {
       EXPECT_EQ(KeyTraits<float>::ToOrderedBits(r0->items[i]),
@@ -295,7 +292,7 @@ TEST_P(AlgorithmSweep, BitIdenticalAcrossWorkerCounts) {
 }
 
 TEST_P(AlgorithmSweep, BitIdenticalUnderTraceSampling) {
-  const Algorithm algo = GetParam();
+  const topk::TopKOperator* op = GetParam();
   const size_t n = 16384;
   const size_t k = 32;
   const auto data = UniformData(n, 77);
@@ -303,27 +300,24 @@ TEST_P(AlgorithmSweep, BitIdenticalUnderTraceSampling) {
   Device base;
   base.set_host_workers(1);
   base.set_trace_sample_target(4);
-  auto r0 = gpu::TopK(base, data.data(), n, k, algo);
+  auto r0 = op->TopKHost(base, data.data(), n, k);
   ASSERT_TRUE(r0.ok()) << r0.status();
 
   for (int w : {7, 8}) {
     Device dev;
     dev.set_host_workers(w);
     dev.set_trace_sample_target(4);
-    auto r = gpu::TopK(dev, data.data(), n, k, algo);
+    auto r = op->TopKHost(dev, data.data(), n, k);
     ASSERT_TRUE(r.ok()) << r.status();
-    ExpectLogsEq(base, dev,
-                 std::string(AlgorithmName(algo)) + " sampled workers=" +
-                     std::to_string(w));
+    ExpectLogsEq(base, dev, op->name() + " sampled workers=" +
+                                std::to_string(w));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, AlgorithmSweep,
-    ::testing::Values(Algorithm::kSort, Algorithm::kPerThread,
-                      Algorithm::kRadixSelect, Algorithm::kBucketSelect,
-                      Algorithm::kBitonic, Algorithm::kHybrid),
-    [](const auto& info) { return AlgorithmName(info.param); });
+    ::testing::ValuesIn(topk::GpuSweepOperators(true)),
+    [](const auto& info) { return info.param->name(); });
 
 TEST(ParallelLaunch, ChunkedBitIdenticalAcrossWorkerCounts) {
   const size_t n = 16384, k = 37;
@@ -465,10 +459,6 @@ TEST(ParallelLaunch, RacecheckReportsMatchSequential) {
 // additionally runs the full 240-case sweep with MPTOPK_WORKERS=4 on the
 // Release leg.)
 TEST(ParallelLaunch, DifferentialSweepAtFourWorkers) {
-  constexpr Algorithm kAlgos[] = {Algorithm::kSort, Algorithm::kPerThread,
-                                  Algorithm::kRadixSelect,
-                                  Algorithm::kBucketSelect,
-                                  Algorithm::kBitonic};
   for (size_t n : {257u, 4096u, 16384u}) {
     for (size_t k : {1u, 32u, 100u}) {
       const size_t kk = std::min(k, n);
@@ -490,14 +480,13 @@ TEST(ParallelLaunch, DifferentialSweepAtFourWorkers) {
         EXPECT_EQ(bits, oracle) << name << " n=" << n << " k=" << kk;
       };
 
-      for (Algorithm algo : kAlgos) {
+      for (const topk::TopKOperator* op : topk::GpuSweepOperators()) {
         Device dev;
         dev.set_host_workers(4);
-        auto r = gpu::TopK(dev, data.data(), n, kk, algo);
-        ASSERT_TRUE(r.ok())
-            << AlgorithmName(algo) << " n=" << n << " k=" << kk << ": "
-            << r.status().ToString();
-        check(r->items, AlgorithmName(algo));
+        auto r = op->TopKHost(dev, data.data(), n, kk);
+        ASSERT_TRUE(r.ok()) << op->name() << " n=" << n << " k=" << kk
+                            << ": " << r.status().ToString();
+        check(r->items, op->name());
       }
       {
         Device dev;

@@ -15,7 +15,6 @@
 #include "engine/query.h"
 #include "engine/tweets.h"
 #include "gputopk/chunked.h"
-#include "gputopk/topk.h"
 #include "simt/device.h"
 #include "simt/racecheck.h"
 
@@ -231,10 +230,10 @@ TEST(Racecheck, TimingsBitIdenticalWithCheckerOnAndOff) {
   Device off;
   off.set_racecheck(false);
   Device on = RacecheckDevice();
-  auto r_off = gpu::TopK(off, data.data(), data.size(), 64,
-                         gpu::Algorithm::kBitonic);
-  auto r_on = gpu::TopK(on, data.data(), data.size(), 64,
-                        gpu::Algorithm::kBitonic);
+  const topk::TopKOperator* bitonic =
+      topk::FindOperator("BitonicTopK").value();
+  auto r_off = bitonic->TopKHost(off, data.data(), data.size(), 64);
+  auto r_on = bitonic->TopKHost(on, data.data(), data.size(), 64);
   ASSERT_TRUE(r_off.ok() && r_on.ok());
   EXPECT_EQ(r_off->kernel_ms, r_on->kernel_ms);  // exact, not near
   EXPECT_EQ(off.total_sim_ms(), on.total_sim_ms());
@@ -244,25 +243,19 @@ TEST(Racecheck, TimingsBitIdenticalWithCheckerOnAndOff) {
 
 TEST(RacecheckGate, AllGpuAlgorithmsClean) {
   auto data = GenerateFloats(1 << 15, Distribution::kUniform, 7);
-  for (gpu::Algorithm algo :
-       {gpu::Algorithm::kSort, gpu::Algorithm::kPerThread,
-        gpu::Algorithm::kRadixSelect, gpu::Algorithm::kBucketSelect,
-        gpu::Algorithm::kBitonic, gpu::Algorithm::kHybrid}) {
+  for (const topk::TopKOperator* op : topk::GpuSweepOperators(true)) {
     for (size_t k : {size_t{1}, size_t{32}, size_t{100}, size_t{256}}) {
       Device dev = RacecheckDevice();
-      auto r = gpu::TopK(dev, data.data(), data.size(), k, algo);
+      auto r = op->TopKHost(dev, data.data(), data.size(), k);
       if (!r.ok()) {
         // Per-thread top-k legitimately exhausts shared memory at large k.
         ASSERT_EQ(r.status().code(), StatusCode::kResourceExhausted)
-            << gpu::AlgorithmName(algo) << " k=" << k << ": "
-            << r.status().ToString();
+            << op->name() << " k=" << k << ": " << r.status().ToString();
         continue;
       }
       EXPECT_TRUE(dev.race_report().clean())
-          << gpu::AlgorithmName(algo) << " k=" << k << ": "
-          << dev.race_report().Summary();
-      EXPECT_GT(dev.race_report().blocks_checked, 0u)
-          << gpu::AlgorithmName(algo);
+          << op->name() << " k=" << k << ": " << dev.race_report().Summary();
+      EXPECT_GT(dev.race_report().blocks_checked, 0u) << op->name();
     }
   }
 }
