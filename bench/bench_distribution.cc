@@ -46,8 +46,7 @@ int Main(int argc, char** argv) {
     for (size_t k : PowersOfTwo(1, 1024)) {
       std::vector<std::string> row{std::to_string(k)};
       for (const auto* op : sweep) {
-        row.push_back(
-            MsCell(RunOp(*op, data, k, ts, flags.GetBool("racecheck"))));
+        row.push_back(MsCell(RunOp(*op, data, k, ts)));
       }
       table.AddRow(std::move(row));
     }

@@ -6,7 +6,8 @@
 //     wasted attempt plus the executor's simulated backoff.
 //
 // All numbers are simulated device milliseconds, so every column is
-// deterministic under a fixed seed.
+// deterministic under a fixed seed. Exits 1 when the resilient executor
+// fails to answer any row, clean or faulted.
 #include "bench/bench_util.h"
 #include "planner/plan_topk.h"
 #include "planner/resilient.h"
@@ -67,6 +68,7 @@ int Main(int argc, char** argv) {
   TablePrinter table({"k", "Direct", "Resilient", "Overhead%", "Faulted",
                       "AddedLatency"});
   std::string last_summary;
+  bool unanswered = false;
   for (size_t k : PowersOfTwo(16, 1024)) {
     const double direct = RunDirect(data, k, ts);
     double clean_added = 0, faulted_added = 0;
@@ -80,6 +82,7 @@ int Main(int argc, char** argv) {
     cfg.fail_transfer_index = 2;
     const double faulted =
         RunResilient(data, k, ts, &cfg, &faulted_added, &last_summary);
+    unanswered = unanswered || std::isnan(resilient) || std::isnan(faulted);
     const double overhead = (resilient - direct) / direct * 100.0;
     table.AddRow({std::to_string(k), MsCell(direct),
                   MsCell(resilient),
@@ -89,6 +92,10 @@ int Main(int argc, char** argv) {
   }
   PrintTable(table, csv);
   std::printf("# faulted-run report: %s\n", last_summary.c_str());
+  if (unanswered) {
+    std::fprintf(stderr, "resilient top-k returned an error for some k\n");
+    return 1;
+  }
   return 0;
 }
 

@@ -18,7 +18,6 @@
 #include "common/distributions.h"
 #include "common/flags.h"
 #include "common/table_printer.h"
-#include "simt/workers.h"
 #include "topk/registry.h"
 
 namespace mptopk::bench {
@@ -33,27 +32,18 @@ inline void DefineCommonFlags(Flags* flags, const char* default_n_log2) {
   flags->Define("trace_sample", "32",
                 "blocks traced per kernel launch (0 = all, exact)");
   flags->Define("seed", "42", "data generator seed");
-  flags->Define("racecheck", "false",
-                "launch kernels under the barrier-epoch race checker "
-                "(hazards go to stderr; timings are unchanged). The "
-                "MPTOPK_RACECHECK env var enables it for every bench.");
-  flags->Define("workers", "0",
-                "host worker threads per kernel launch (0 = auto: "
-                "MPTOPK_WORKERS env or min(hardware_concurrency, 8)). "
-                "Host speed only; simulated times are identical.");
 }
 
 /// Runs one registered top-k operator on host data, returning simulated
 /// kernel ms (NaN when the operator cannot run at this configuration, e.g.
 /// per-thread top-k beyond its shared-memory limit -- rendered as '-').
-/// With racecheck on, hazard summaries print to stderr (timings do not
+/// Under MPTOPK_RACECHECK, hazard summaries print to stderr (timings do not
 /// change; the checker is analysis-only).
 template <typename E>
 double RunOp(const topk::TopKOperator& op, const std::vector<E>& data,
-             size_t k, int trace_sample, bool racecheck = false) {
+             size_t k, int trace_sample) {
   simt::Device dev;
   dev.set_trace_sample_target(trace_sample);
-  dev.set_racecheck(racecheck || dev.racecheck());
   auto r = op.TopKHost(dev, data.data(), data.size(), k);
   if (dev.racecheck() && !dev.race_report().clean()) {
     std::fprintf(stderr, "%s: %s\n", op.name().c_str(),
@@ -69,13 +59,13 @@ double RunOp(const topk::TopKOperator& op, const std::vector<E>& data,
 /// bench column is caught on the first run rather than printing '-'.
 template <typename E>
 double RunOp(const std::string& name, const std::vector<E>& data, size_t k,
-             int trace_sample, bool racecheck = false) {
+             int trace_sample) {
   auto op = topk::FindOperator(name);
   if (!op.ok()) {
     std::fprintf(stderr, "%s\n", op.status().ToString().c_str());
     std::abort();
   }
-  return RunOp(*op.value(), data, k, trace_sample, racecheck);
+  return RunOp(*op.value(), data, k, trace_sample);
 }
 
 /// The paper's "Memory Bandwidth" floor: time to read the data once.
@@ -105,11 +95,6 @@ inline bool BenchInit(Flags& flags, int argc, char** argv, int* exit_code) {
     flags.PrintHelp(argv[0]);
     *exit_code = 0;
     return false;
-  }
-  // --workers (when the binary defines it; GetInt is 0 otherwise) becomes
-  // the process-wide default so every Device the bench constructs uses it.
-  if (int w = static_cast<int>(flags.GetInt("workers")); w > 0) {
-    simt::SetHostWorkersOverride(w);
   }
   return true;
 }

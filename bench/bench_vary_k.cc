@@ -15,8 +15,7 @@ namespace mptopk::bench {
 namespace {
 
 template <typename E>
-void Run(const std::vector<E>& data, bool csv, int trace_sample,
-         bool racecheck) {
+void Run(const std::vector<E>& data, bool csv, int trace_sample) {
   const auto sweep = topk::GpuSweepOperators();
   std::vector<std::string> header{"k"};
   for (const auto* op : sweep) header.push_back(op->display_name());
@@ -26,7 +25,7 @@ void Run(const std::vector<E>& data, bool csv, int trace_sample,
   for (size_t k : PowersOfTwo(1, 1024)) {
     std::vector<std::string> row{std::to_string(k)};
     for (const auto* op : sweep) {
-      row.push_back(MsCell(RunOp(*op, data, k, trace_sample, racecheck)));
+      row.push_back(MsCell(RunOp(*op, data, k, trace_sample)));
     }
     row.push_back(MsCell(floor_ms));
     table.AddRow(std::move(row));
@@ -45,18 +44,17 @@ int Main(int argc, char** argv) {
   const int ts = static_cast<int>(flags.GetInt("trace_sample"));
   const uint64_t seed = flags.GetInt("seed");
   const std::string dtype = flags.GetString("dtype");
-  const bool rc = flags.GetBool("racecheck");
 
   std::printf("# Figure 11%s: top-k vs k, n=2^%lld %s keys, uniform "
               "(simulated ms)\n",
               dtype == "f32" ? "a" : (dtype == "u32" ? "b" : "c"),
               static_cast<long long>(flags.GetInt("n_log2")), dtype.c_str());
   if (dtype == "f32") {
-    Run(GenerateFloats(n, Distribution::kUniform, seed), csv, ts, rc);
+    Run(GenerateFloats(n, Distribution::kUniform, seed), csv, ts);
   } else if (dtype == "u32") {
-    Run(GenerateU32(n, Distribution::kUniform, seed), csv, ts, rc);
+    Run(GenerateU32(n, Distribution::kUniform, seed), csv, ts);
   } else if (dtype == "f64") {
-    Run(GenerateDoubles(n, Distribution::kUniform, seed), csv, ts, rc);
+    Run(GenerateDoubles(n, Distribution::kUniform, seed), csv, ts);
   } else {
     std::fprintf(stderr, "unknown --dtype %s\n", dtype.c_str());
     return 1;

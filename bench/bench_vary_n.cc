@@ -19,7 +19,6 @@ int Main(int argc, char** argv) {
   if (!BenchInit(flags, argc, argv, &exit_code)) return exit_code;
   const int ts = static_cast<int>(flags.GetInt("trace_sample"));
   const size_t k = flags.GetInt("k");
-  const bool rc = flags.GetBool("racecheck");
 
   std::printf("# Figure 13: top-%zu vs data size, uniform floats "
               "(simulated ms)\n", k);
@@ -33,7 +32,7 @@ int Main(int argc, char** argv) {
     auto data = GenerateFloats(n, Distribution::kUniform, flags.GetInt("seed"));
     std::vector<std::string> row{std::to_string(lg)};
     for (const auto* op : sweep) {
-      row.push_back(MsCell(RunOp(*op, data, k, ts, rc)));
+      row.push_back(MsCell(RunOp(*op, data, k, ts)));
     }
     table.AddRow(std::move(row));
   }

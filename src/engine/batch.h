@@ -42,8 +42,8 @@ struct BatchQuery {
   GroupByStrategy groupby_strategy = GroupByStrategy::kBitonic;
 
   size_t k = 10;
-  /// Per-query resilience settings; ExecOptions::ctx is overwritten with
-  /// the batch-assigned context.
+  /// Per-query execution options (resilient routing, operator override);
+  /// ExecOptions::ctx is overwritten with the batch-assigned context.
   ExecOptions exec;
 };
 

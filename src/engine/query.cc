@@ -9,6 +9,7 @@
 #include "common/bits.h"
 #include "gputopk/bitonic_kernels.h"
 #include "gputopk/radix_sort.h"
+#include "planner/resilient.h"
 #include "topk/registry.h"
 
 namespace mptopk::engine {
@@ -459,40 +460,14 @@ StatusOr<const topk::TopKOperator*> ResolveTopKOperator(
 // one-line report for the query result.
 StatusOr<TopKResult<KV>> ResilientStep(const simt::ExecCtx& dev,
                                        DeviceBuffer<KV>& data, size_t n,
-                                       size_t k, const ExecOptions& exec,
-                                       std::string* summary) {
-  MPTOPK_ASSIGN_OR_RETURN(
-      auto r, planner::ResilientTopKDevice<KV>(dev, data, n, k,
-                                               exec.resilience));
+                                       size_t k, std::string* summary) {
+  MPTOPK_ASSIGN_OR_RETURN(auto r,
+                          planner::ResilientTopKDevice<KV>(dev, data, n, k));
   *summary = r.report.Summary();
   TopKResult<KV> top;
   top.items = std::move(r.items);
   return top;
 }
-
-// Enables the device race checker for the duration of one query and restores
-// its previous state on exit; Capture reports the hazards attributable to
-// this query (delta against the device-wide accumulated report).
-class RacecheckScope {
- public:
-  RacecheckScope(simt::Device& dev, bool enable)
-      : dev_(dev), prev_(dev.racecheck()),
-        baseline_(dev.race_report().hazard_count) {
-    if (enable) dev_.set_racecheck(true);
-  }
-  ~RacecheckScope() { dev_.set_racecheck(prev_); }
-
-  void Capture(uint64_t* hazards, std::string* summary) const {
-    if (!dev_.racecheck()) return;
-    *hazards = dev_.race_report().hazard_count - baseline_;
-    *summary = dev_.race_report().Summary();
-  }
-
- private:
-  simt::Device& dev_;
-  bool prev_;
-  uint64_t baseline_;
-};
 
 }  // namespace
 
@@ -504,7 +479,6 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
   if (k == 0) return Status::InvalidArgument("k must be positive");
   simt::ExecCtx default_ctx(*table.device());
   const simt::ExecCtx& dev = exec.ctx != nullptr ? *exec.ctx : default_ctx;
-  RacecheckScope racecheck(dev.device(), exec.racecheck);
   const size_t n = table.num_rows();
   MPTOPK_ASSIGN_OR_RETURN(const Column* id_col_ptr,
                           table.GetColumn(id_column));
@@ -549,7 +523,6 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
       empty.kernel_ms = tracker.ElapsedMs();
       empty.end_to_end_ms = empty.kernel_ms + (dev.pcie_ms() - pcie_start);
       empty.kernels_launched = tracker.Launches();
-      racecheck.Capture(&empty.race_hazards, &empty.racecheck_summary);
       return empty;
     }
     auto reduced = gpu::BitonicReduceRuns(dev, cand, emitted, k2);
@@ -560,8 +533,7 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
       // top-k, so a resilient top-k over them yields the same answer.
       const size_t k_r = std::min(std::min(k, matched), emitted);
       MPTOPK_ASSIGN_OR_RETURN(
-          top, ResilientStep(dev, cand, emitted, k_r, exec,
-                             &resilience_summary));
+          top, ResilientStep(dev, cand, emitted, k_r, &resilience_summary));
     } else {
       return reduced.status();
     }
@@ -577,13 +549,12 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
       empty.kernel_ms = tracker.ElapsedMs();
       empty.end_to_end_ms = empty.kernel_ms + (dev.pcie_ms() - pcie_start);
       empty.kernels_launched = tracker.Launches();
-      racecheck.Capture(&empty.race_hazards, &empty.racecheck_summary);
       return empty;
     }
     const size_t k_eff = std::min(k, matched);
     if (exec.resilient) {
       MPTOPK_ASSIGN_OR_RETURN(top, ResilientStep(dev, kv_buf, matched, k_eff,
-                                                 exec, &resilience_summary));
+                                                 &resilience_summary));
     } else {
       MPTOPK_ASSIGN_OR_RETURN(
           const topk::TopKOperator* op,
@@ -625,7 +596,6 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
   result.end_to_end_ms = result.kernel_ms + (dev.pcie_ms() - pcie_start);
   result.kernels_launched = tracker.Launches();
   result.resilience_summary = std::move(resilience_summary);
-  racecheck.Capture(&result.race_hazards, &result.racecheck_summary);
   return result;
 }
 
@@ -636,7 +606,6 @@ StatusOr<GroupByResult> GroupByCountTopKQuery(Table& table,
   if (k == 0) return Status::InvalidArgument("k must be positive");
   simt::ExecCtx default_ctx(*table.device());
   const simt::ExecCtx& dev = exec.ctx != nullptr ? *exec.ctx : default_ctx;
-  RacecheckScope racecheck(dev.device(), exec.racecheck);
   const size_t n = table.num_rows();
   MPTOPK_ASSIGN_OR_RETURN(const Column* gcol, table.GetColumn(group_column));
   if (gcol->type != ColumnType::kInt32) {
@@ -672,14 +641,13 @@ StatusOr<GroupByResult> GroupByCountTopKQuery(Table& table,
   if (num_groups == 0) {
     result.kernel_ms = tracker.ElapsedMs();
     result.kernels_launched = tracker.Launches();
-    racecheck.Capture(&result.race_hazards, &result.racecheck_summary);
     return result;
   }
   const size_t k_eff = std::min<size_t>(k, num_groups);
   TopKResult<KV> top;
   if (exec.resilient) {
     MPTOPK_ASSIGN_OR_RETURN(top,
-                            ResilientStep(dev, groups, num_groups, k_eff, exec,
+                            ResilientStep(dev, groups, num_groups, k_eff,
                                           &result.resilience_summary));
   } else {
     MPTOPK_ASSIGN_OR_RETURN(
@@ -697,7 +665,6 @@ StatusOr<GroupByResult> GroupByCountTopKQuery(Table& table,
   }
   result.kernel_ms = tracker.ElapsedMs();
   result.kernels_launched = tracker.Launches();
-  racecheck.Capture(&result.race_hazards, &result.racecheck_summary);
   return result;
 }
 

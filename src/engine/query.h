@@ -24,7 +24,6 @@
 
 #include "common/status.h"
 #include "engine/table.h"
-#include "planner/resilient.h"
 #include "simt/exec_ctx.h"
 
 namespace mptopk::engine {
@@ -94,12 +93,6 @@ struct ExecOptions {
   /// the combined strategy the resilient executor serves as the recovery
   /// path when the fused reduction fails).
   bool resilient = false;
-  planner::ResilienceOptions resilience;
-  /// Run every kernel of this query under the barrier-epoch race checker
-  /// (simt/racecheck.h); hazards land in QueryResult::race_hazards /
-  /// racecheck_summary. The device's own racecheck state is restored
-  /// afterwards. Purely diagnostic — simulated timings are unchanged.
-  bool racecheck = false;
   /// Execution context for the whole query (stream + arena). nullptr runs
   /// on the table device's default stream — the legacy single-query path.
   /// Set by engine::BatchExecutor to interleave queries across streams.
@@ -126,10 +119,6 @@ struct QueryResult {
   /// ExecutionReport::Summary() of the resilient top-k step (empty when
   /// ExecOptions::resilient is off or the step did not run).
   std::string resilience_summary;
-  /// Race hazards this query's kernels produced and the checker's one-line
-  /// summary (only populated when racecheck ran; see ExecOptions::racecheck).
-  uint64_t race_hazards = 0;
-  std::string racecheck_summary;
 };
 
 /// Runs the filter + order-by-limit query. `id_column` must be kInt64;
@@ -152,9 +141,6 @@ struct GroupByResult {
   int kernels_launched = 0;
   /// See QueryResult::resilience_summary.
   std::string resilience_summary;
-  /// See QueryResult::race_hazards / racecheck_summary.
-  uint64_t race_hazards = 0;
-  std::string racecheck_summary;
 };
 
 /// GROUP BY count + top-k by count (paper query 4). `group_column` must be

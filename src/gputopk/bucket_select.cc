@@ -23,13 +23,6 @@ constexpr int kBlockDim = 256;
 constexpr int kMaxPasses = 64;
 constexpr int kMaxGrid = 128;  // bounded grid; blocks cover element ranges
 
-// Sized so the scan-based compaction workspace (3 staged tiles + per-thread
-// counters) fits 48 KiB shared memory.
-template <typename E>
-constexpr size_t BucketTile() {
-  return sizeof(E) <= 4 ? 2048 : (sizeof(E) <= 12 ? 1024 : 512);
-}
-
 template <typename E>
 using KeyBits = typename KeyTraits<typename ElementTraits<E>::Key>::Unsigned;
 
@@ -52,7 +45,7 @@ uint32_t BucketOf(U v, U lo, U width) {
 template <typename E>
 Status LaunchMinMax(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
                     GlobalSpan<uint64_t> minmax) {
-  const size_t tile = BucketTile<E>();
+  const size_t tile = SelectTile<E>();
   const int grid = static_cast<int>(
       std::min<uint64_t>(kMaxGrid, CeilDiv(n, tile)));
   const size_t per_block = RoundUp(CeilDiv(n, grid), tile);
@@ -100,7 +93,7 @@ template <typename E>
 Status LaunchGatherMax(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
                        uint64_t max_bits, GlobalSpan<E> result,
                        GlobalSpan<uint32_t> flag) {
-  const size_t tile = BucketTile<E>();
+  const size_t tile = SelectTile<E>();
   const int grid = static_cast<int>(
       std::min<uint64_t>(kMaxGrid, CeilDiv(n, tile)));
   const size_t per_block = RoundUp(CeilDiv(n, grid), tile);
@@ -128,7 +121,7 @@ template <typename E>
 Status LaunchBucketHistogram(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
                              KeyBits<E> lo, KeyBits<E> width,
                              GlobalSpan<uint32_t> hist) {
-  const size_t tile = BucketTile<E>();
+  const size_t tile = SelectTile<E>();
   const int grid = static_cast<int>(
       std::min<uint64_t>(kMaxGrid, CeilDiv(n, tile)));
   const size_t per_block = RoundUp(CeilDiv(n, grid), tile);
@@ -167,7 +160,7 @@ Status LaunchBucketCluster(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
                            GlobalSpan<E> result, size_t emitted,
                            GlobalSpan<E> next_cand,
                            GlobalSpan<uint32_t> counters) {
-  const size_t tile = BucketTile<E>();
+  const size_t tile = SelectTile<E>();
   const int grid = static_cast<int>(
       std::min<uint64_t>(kMaxGrid, CeilDiv(n, tile)));
   const size_t per_block = RoundUp(CeilDiv(n, grid), tile);
@@ -187,26 +180,6 @@ Status LaunchBucketCluster(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
               },
               result, emitted, next_cand, counters);
         }
-      });
-  return st.ok() ? Status::OK() : st.status();
-}
-
-template <typename E>
-Status LaunchCopyOut(const simt::ExecCtx& dev, GlobalSpan<E> src, size_t count,
-                     GlobalSpan<E> result, size_t emitted) {
-  const int grid =
-      static_cast<int>(std::min<uint64_t>(256, CeilDiv(count, kBlockDim)));
-  auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = kBlockDim, .name = "bucket_copy_out"},
-      [&](Block& blk) {
-        blk.ForEachThread([&](Thread& t) {
-          size_t stride = static_cast<size_t>(grid) * kBlockDim;
-          for (size_t i =
-                   static_cast<size_t>(blk.block_idx()) * kBlockDim + t.tid;
-               i < count; i += stride) {
-            result.Write(t, emitted + i, src.Read(t, i));
-          }
-        });
       });
   return st.ok() ? Status::OK() : st.status();
 }
@@ -272,7 +245,8 @@ StatusOr<TopKResult<E>> BucketSelectTopKDevice(const simt::ExecCtx& dev,
     if (lo == hi || cand_count == k_rem) {
       // Degenerate range (all candidates tie) or exact fit: flush.
       MPTOPK_RETURN_NOT_OK(
-          LaunchCopyOut(dev, candidates, k_rem, result, emitted));
+          LaunchCopyOut(dev, "bucket_copy_out", candidates, k_rem, result,
+                        emitted));
       k_rem = 0;
       break;
     }
@@ -319,19 +293,9 @@ StatusOr<TopKResult<E>> BucketSelectTopKDevice(const simt::ExecCtx& dev,
   return finish(0);
 }
 
-template <typename E>
-StatusOr<TopKResult<E>> BucketSelectTopK(const simt::ExecCtx& dev, const E* data,
-                                         size_t n, size_t k) {
-  MPTOPK_ASSIGN_OR_RETURN(auto buf, dev.Alloc<E>(n));
-  MPTOPK_RETURN_NOT_OK(dev.CopyToDevice(buf, data, n));
-  return BucketSelectTopKDevice(dev, buf, n, k);
-}
-
 #define MPTOPK_INSTANTIATE_BSELECT(E)                                       \
   template StatusOr<TopKResult<E>> BucketSelectTopKDevice<E>(               \
-      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t);                     \
-  template StatusOr<TopKResult<E>> BucketSelectTopK<E>(                     \
-      const simt::ExecCtx&, const E*, size_t, size_t);
+      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t);
 
 MPTOPK_INSTANTIATE_BSELECT(float)
 MPTOPK_INSTANTIATE_BSELECT(double)

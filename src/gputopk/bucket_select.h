@@ -29,11 +29,6 @@ StatusOr<TopKResult<E>> BucketSelectTopKDevice(const simt::ExecCtx& dev,
                                                simt::DeviceBuffer<E>& data,
                                                size_t n, size_t k);
 
-/// Host-staging convenience wrapper.
-template <typename E>
-StatusOr<TopKResult<E>> BucketSelectTopK(const simt::ExecCtx& dev, const E* data,
-                                         size_t n, size_t k);
-
 }  // namespace mptopk::gpu
 
 #endif  // MPTOPK_GPUTOPK_BUCKET_SELECT_H_

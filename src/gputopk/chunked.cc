@@ -9,14 +9,12 @@ namespace mptopk::gpu {
 template <typename E>
 StatusOr<ChunkedTopKResult<E>> ChunkedTopK(const simt::ExecCtx& dev, const E* data,
                                            size_t n, size_t k,
-                                           size_t chunk_elems,
-                                           const topk::TopKOperator* reduce) {
+                                           size_t chunk_elems) {
   if (k == 0 || k > n) {
     return Status::InvalidArgument("require 1 <= k <= n");
   }
-  if (reduce == nullptr) {
-    MPTOPK_ASSIGN_OR_RETURN(reduce, topk::FindOperator("BitonicTopK"));
-  }
+  MPTOPK_ASSIGN_OR_RETURN(const topk::TopKOperator* reduce,
+                          topk::FindOperator("BitonicTopK"));
   if (chunk_elems == 0) {
     chunk_elems = dev.spec().global_mem_bytes / sizeof(E) / 8;
   }
@@ -59,8 +57,7 @@ StatusOr<ChunkedTopKResult<E>> ChunkedTopK(const simt::ExecCtx& dev, const E* da
 
 #define MPTOPK_INSTANTIATE_CHUNKED(E)                                       \
   template StatusOr<ChunkedTopKResult<E>> ChunkedTopK<E>(                   \
-      const simt::ExecCtx&, const E*, size_t, size_t, size_t,               \
-      const topk::TopKOperator*);
+      const simt::ExecCtx&, const E*, size_t, size_t, size_t);
 
 MPTOPK_INSTANTIATE_CHUNKED(float)
 MPTOPK_INSTANTIATE_CHUNKED(double)

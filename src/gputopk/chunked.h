@@ -28,12 +28,12 @@ struct ChunkedTopKResult {
 
 /// Streams data[0, n) through the device in chunks of `chunk_elems`
 /// (0 = auto: an eighth of device memory), computing the global top-k.
-/// Each chunk and the final candidate pool are reduced by the registry
-/// operator `reduce` (nullptr = BitonicTopK, which rounds k up internally).
+/// Each chunk and the final candidate pool are reduced by the BitonicTopK
+/// registry operator (which rounds k up internally).
 template <typename E>
-StatusOr<ChunkedTopKResult<E>> ChunkedTopK(
-    const simt::ExecCtx& dev, const E* data, size_t n, size_t k,
-    size_t chunk_elems = 0, const topk::TopKOperator* reduce = nullptr);
+StatusOr<ChunkedTopKResult<E>> ChunkedTopK(const simt::ExecCtx& dev,
+                                           const E* data, size_t n, size_t k,
+                                           size_t chunk_elems = 0);
 
 }  // namespace mptopk::gpu
 

@@ -34,6 +34,9 @@ using simt::Thread;
 constexpr int kBlockDim = 256;
 constexpr int kMaxGrid = 128;
 constexpr size_t kSampleSize = 16384;
+// Fall back to plain bitonic when the threshold filter would keep more than
+// this fraction of the input (non-discriminating pivot).
+constexpr double kMaxCandidateFraction = 0.25;
 
 template <typename E>
 bool KeyAtLeast(const E& e, typename ElementTraits<E>::Key pivot) {
@@ -152,7 +155,7 @@ Status LaunchThresholdFilter(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t 
 template <typename E>
 StatusOr<TopKResult<E>> HybridTopKDevice(const simt::ExecCtx& dev,
                                          DeviceBuffer<E>& data, size_t n,
-                                         size_t k, const HybridOptions& opts) {
+                                         size_t k) {
   if (k == 0 || k > n) {
     return Status::InvalidArgument("require 1 <= k <= n");
   }
@@ -191,7 +194,7 @@ StatusOr<TopKResult<E>> HybridTopKDevice(const simt::ExecCtx& dev,
 
   // 3: threshold filter.
   const size_t cap = std::max<size_t>(
-      2 * k, static_cast<size_t>(opts.max_candidate_fraction *
+      2 * k, static_cast<size_t>(kMaxCandidateFraction *
                                  static_cast<double>(n)));
   MPTOPK_ASSIGN_OR_RETURN(auto cand, dev.Alloc<E>(cap));
   MPTOPK_ASSIGN_OR_RETURN(auto counter, dev.Alloc<uint32_t>(1));
@@ -215,20 +218,9 @@ StatusOr<TopKResult<E>> HybridTopKDevice(const simt::ExecCtx& dev,
   return finish(std::move(r));
 }
 
-template <typename E>
-StatusOr<TopKResult<E>> HybridTopK(const simt::ExecCtx& dev, const E* data, size_t n,
-                                   size_t k, const HybridOptions& opts) {
-  MPTOPK_ASSIGN_OR_RETURN(auto buf, dev.Alloc<E>(n));
-  MPTOPK_RETURN_NOT_OK(dev.CopyToDevice(buf, data, n));
-  return HybridTopKDevice(dev, buf, n, k, opts);
-}
-
-#define MPTOPK_INSTANTIATE_HYBRID(E)                                        \
-  template StatusOr<TopKResult<E>> HybridTopKDevice<E>(                     \
-      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t,                      \
-      const HybridOptions&);                                                \
-  template StatusOr<TopKResult<E>> HybridTopK<E>(                           \
-      const simt::ExecCtx&, const E*, size_t, size_t, const HybridOptions&);
+#define MPTOPK_INSTANTIATE_HYBRID(E)                    \
+  template StatusOr<TopKResult<E>> HybridTopKDevice<E>( \
+      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t);
 
 MPTOPK_INSTANTIATE_HYBRID(float)
 MPTOPK_INSTANTIATE_HYBRID(double)

@@ -29,25 +29,13 @@
 
 namespace mptopk::gpu {
 
-struct HybridOptions {
-  /// Fall back to plain bitonic when the threshold filter would keep more
-  /// than this fraction of the input (non-discriminating pivot).
-  double max_candidate_fraction = 0.25;
-};
-
 /// Top-k of device-resident data[0, n) via the sampled-pivot + bitonic
 /// pipeline. Requires power-of-two k (like bitonic; the HybridTopK registry
 /// operator rounds up if you need arbitrary k). Input is not modified.
 template <typename E>
 StatusOr<TopKResult<E>> HybridTopKDevice(const simt::ExecCtx& dev,
                                          simt::DeviceBuffer<E>& data,
-                                         size_t n, size_t k,
-                                         const HybridOptions& opts = {});
-
-/// Host-staging convenience wrapper.
-template <typename E>
-StatusOr<TopKResult<E>> HybridTopK(const simt::ExecCtx& dev, const E* data, size_t n,
-                                   size_t k, const HybridOptions& opts = {});
+                                         size_t n, size_t k);
 
 }  // namespace mptopk::gpu
 

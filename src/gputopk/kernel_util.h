@@ -1,5 +1,6 @@
-// Small device-side helpers shared by the top-k kernels: buffer fill,
-// block-level exclusive prefix sum, and a tracking wrapper that measures the
+// Small device-side helpers shared by the top-k kernels: buffer fill and
+// copy-out, block-level exclusive prefix sum, the selection algorithms'
+// two-way tile compaction, and a tracking wrapper that measures the
 // simulated time consumed by a sequence of launches.
 #ifndef MPTOPK_GPUTOPK_KERNEL_UTIL_H_
 #define MPTOPK_GPUTOPK_KERNEL_UTIL_H_
@@ -121,6 +122,36 @@ class DeviceTimeTracker {
   size_t start_launches_;
 };
 
+/// Copies src[0, count) into result[emitted, emitted + count) with a
+/// grid-stride kernel named `name`: the selection algorithms' final step.
+template <typename E>
+Status LaunchCopyOut(const simt::ExecCtx& dev, const char* name,
+                     simt::GlobalSpan<E> src, size_t count,
+                     simt::GlobalSpan<E> result, size_t emitted) {
+  const int block = 256;
+  const int grid =
+      static_cast<int>(std::min<uint64_t>(256, CeilDiv(count, block)));
+  auto st = dev.Launch(
+      {.grid_dim = grid, .block_dim = block, .name = name},
+      [&](simt::Block& blk) {
+        blk.ForEachThread([&](simt::Thread& t) {
+          size_t stride = static_cast<size_t>(grid) * block;
+          for (size_t i = static_cast<size_t>(blk.block_idx()) * block + t.tid;
+               i < count; i += stride) {
+            result.Write(t, emitted + i, src.Read(t, i));
+          }
+        });
+      });
+  return st.ok() ? Status::OK() : st.status();
+}
+
+/// Tile size of the selection algorithms' scan-based compaction, sized so
+/// the TwoWayCompactWorkspace (3 staged tiles + per-thread counters) fits
+/// 48 KiB shared memory.
+template <typename E>
+constexpr size_t SelectTile() {
+  return sizeof(E) <= 4 ? 2048 : (sizeof(E) <= 12 ? 1024 : 512);
+}
 
 /// Workspace for TwoWayCompactTile: shared buffers allocated once per block
 /// and reused across the block's tiles (AllocShared must not be called in a

@@ -136,18 +136,20 @@ Status LaunchHeapPass(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t m,
   return st.ok() ? Status::OK() : st.status();
 }
 
+// Registers available per thread before spilling to local memory (Appendix A
+// model; roughly the occupancy-neutral budget).
+constexpr size_t kRegisterBudget = 64;
+
 // Appendix A register variant: unordered buffer + cached (minIndex,
 // minValue); every insert rewrites one slot and rescans all k. Buffer slots
 // beyond the register budget live in "local memory" (billed bytes).
 template <typename E>
 Status LaunchRegisterPass(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t m,
-                          GlobalSpan<E> out, size_t k, int grid, int nt,
-                          int register_budget) {
+                          GlobalSpan<E> out, size_t k, int grid, int nt) {
   const size_t total_threads = static_cast<size_t>(grid) * nt;
   const int declared_regs =
       static_cast<int>(std::min<size_t>(255, k + 8));
-  const size_t spill_start = static_cast<size_t>(
-      std::max<int64_t>(0, static_cast<int64_t>(register_budget) - 8));
+  const size_t spill_start = kRegisterBudget - 8;
   auto st = dev.Launch(
       {.grid_dim = grid, .block_dim = nt,
        .regs_per_thread = declared_regs, .name = "perthread_registers"},
@@ -279,9 +281,7 @@ StatusOr<TopKResult<E>> PerThreadTopKDevice(const simt::ExecCtx& dev,
         "per-thread top-k: even a single k-heap exceeds shared memory");
   }
 
-  const int max_threads = opts.total_threads > 0
-                              ? opts.total_threads
-                              : spec.num_sms * spec.max_threads_per_sm;
+  const int max_threads = spec.num_sms * spec.max_threads_per_sm;
 
   DeviceTimeTracker tracker(dev);
   MPTOPK_ASSIGN_OR_RETURN(auto out_k, dev.Alloc<E>(k));
@@ -310,8 +310,7 @@ StatusOr<TopKResult<E>> PerThreadTopKDevice(const simt::ExecCtx& dev,
     GlobalSpan<E> dst = write_to_a ? GlobalSpan<E>(buf_a)
                                    : GlobalSpan<E>(buf_b);
     Status st = opts.use_registers
-                    ? LaunchRegisterPass(dev, cur, m, dst, k, grid, nt,
-                                         opts.register_budget)
+                    ? LaunchRegisterPass(dev, cur, m, dst, k, grid, nt)
                     : LaunchHeapPass(dev, cur, m, dst, k, grid, nt);
     MPTOPK_RETURN_NOT_OK(st);
     cur = dst;

@@ -33,12 +33,6 @@ struct PerThreadOptions {
   /// Use the Appendix A register-buffer variant instead of shared-memory
   /// heaps.
   bool use_registers = false;
-  /// Registers available per thread before spilling to local memory
-  /// (Appendix A model; roughly the occupancy-neutral budget).
-  int register_budget = 64;
-  /// Total threads launched. 0 = auto (enough to cover the device, capped
-  /// so every thread sees a few k's worth of elements).
-  int total_threads = 0;
 };
 
 /// Computes the top-k of device-resident data[0, n). Any 1 <= k <= n.

@@ -32,13 +32,6 @@ constexpr int kRadix = 1 << kRadixBits;
 constexpr int kBlockDim = 256;
 constexpr int kMaxGrid = 128;  // bounded grid; blocks cover element ranges
 
-// Sized so the scan-based compaction workspace (3 staged tiles + per-thread
-// counters) fits 48 KiB shared memory.
-template <typename E>
-constexpr size_t SelectTile() {
-  return sizeof(E) <= 4 ? 2048 : (sizeof(E) <= 12 ? 1024 : 512);
-}
-
 template <typename E>
 using KeyBits = typename KeyTraits<typename ElementTraits<E>::Key>::Unsigned;
 
@@ -120,27 +113,6 @@ Status LaunchCluster(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
   return st.ok() ? Status::OK() : st.status();
 }
 
-// Copies count elements from src into result[emitted, emitted+count).
-template <typename E>
-Status LaunchCopyOut(const simt::ExecCtx& dev, GlobalSpan<E> src, size_t count,
-                     GlobalSpan<E> result, size_t emitted) {
-  const int grid =
-      static_cast<int>(std::min<uint64_t>(256, CeilDiv(count, kBlockDim)));
-  auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = kBlockDim, .name = "select_copy_out"},
-      [&](Block& blk) {
-        blk.ForEachThread([&](Thread& t) {
-          size_t stride = static_cast<size_t>(grid) * kBlockDim;
-          for (size_t i =
-                   static_cast<size_t>(blk.block_idx()) * kBlockDim + t.tid;
-               i < count; i += stride) {
-            result.Write(t, emitted + i, src.Read(t, i));
-          }
-        });
-      });
-  return st.ok() ? Status::OK() : st.status();
-}
-
 }  // namespace
 
 template <typename E>
@@ -207,15 +179,16 @@ StatusOr<TopKResult<E>> RadixSelectTopKDevice(const simt::ExecCtx& dev,
 
     if (cand_count == k_rem) {
       MPTOPK_RETURN_NOT_OK(
-          LaunchCopyOut(dev, candidates, cand_count, result, emitted));
+          LaunchCopyOut(dev, "select_copy_out", candidates, cand_count,
+                        result, emitted));
       emitted += cand_count;
       k_rem = 0;
     }
   }
   if (k_rem > 0) {
     // All remaining candidates tie on the full key; pad with any k_rem.
-    MPTOPK_RETURN_NOT_OK(LaunchCopyOut(dev, candidates, k_rem, result,
-                                       emitted));
+    MPTOPK_RETURN_NOT_OK(LaunchCopyOut(dev, "select_copy_out", candidates,
+                                       k_rem, result, emitted));
   }
 
   TopKResult<E> result_out;
@@ -230,19 +203,9 @@ StatusOr<TopKResult<E>> RadixSelectTopKDevice(const simt::ExecCtx& dev,
   return result_out;
 }
 
-template <typename E>
-StatusOr<TopKResult<E>> RadixSelectTopK(const simt::ExecCtx& dev, const E* data,
-                                        size_t n, size_t k) {
-  MPTOPK_ASSIGN_OR_RETURN(auto buf, dev.Alloc<E>(n));
-  MPTOPK_RETURN_NOT_OK(dev.CopyToDevice(buf, data, n));
-  return RadixSelectTopKDevice(dev, buf, n, k);
-}
-
 #define MPTOPK_INSTANTIATE_RSELECT(E)                                       \
   template StatusOr<TopKResult<E>> RadixSelectTopKDevice<E>(                \
-      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t);                     \
-  template StatusOr<TopKResult<E>> RadixSelectTopK<E>(                      \
-      const simt::ExecCtx&, const E*, size_t, size_t);
+      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t);
 
 MPTOPK_INSTANTIATE_RSELECT(float)
 MPTOPK_INSTANTIATE_RSELECT(double)

@@ -295,21 +295,11 @@ StatusOr<TopKResult<E>> SortTopKDevice(const simt::ExecCtx& dev,
   return result;
 }
 
-template <typename E>
-StatusOr<TopKResult<E>> SortTopK(const simt::ExecCtx& dev, const E* data, size_t n,
-                                 size_t k) {
-  MPTOPK_ASSIGN_OR_RETURN(auto buf, dev.Alloc<E>(n));
-  MPTOPK_RETURN_NOT_OK(dev.CopyToDevice(buf, data, n));
-  return SortTopKDevice(dev, buf, n, k);
-}
-
 #define MPTOPK_INSTANTIATE_SORT(E)                                          \
   template Status RadixSortDevice<E>(const simt::ExecCtx&, DeviceBuffer<E>&,        \
                                      size_t, DeviceBuffer<E>*);              \
   template StatusOr<TopKResult<E>> SortTopKDevice<E>(                        \
-      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t);                      \
-  template StatusOr<TopKResult<E>> SortTopK<E>(const simt::ExecCtx&, const E*,      \
-                                               size_t, size_t);
+      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t);
 
 MPTOPK_INSTANTIATE_SORT(float)
 MPTOPK_INSTANTIATE_SORT(double)

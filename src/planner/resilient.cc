@@ -2,6 +2,7 @@
 #include "planner/resilient.h"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 
 #include "topk/registry.h"
@@ -26,38 +27,36 @@ std::string ExecutionReport::Summary() const {
 
 namespace {
 
-uint64_t NextRand(uint64_t* s) {
-  uint64_t x = *s;
-  x ^= x >> 12;
-  x ^= x << 25;
-  x ^= x >> 27;
-  *s = x;
-  return x * 0x2545F4914F6CDD1Dull;
-}
+/// Same-stage retries of a retryable (kUnavailable) failure before the
+/// stage falls back; retry r waits kBackoffBaseMs * 2^r simulated ms.
+constexpr int kMaxRetries = 3;
+constexpr double kBackoffBaseMs = 0.25;
 
 /// Simulated device clock: kernel time + charged backoff + PCIe staging.
 double DeviceClockMs(const simt::ExecCtx& dev) {
   return dev.total_sim_ms() + dev.pcie_ms();
 }
 
-/// Primary-key equality through ordered bits (NaN-safe for float keys: all
-/// NaNs canonicalize to the same greatest key).
+/// Total order on whole elements: rank (ElementTraits::Less), then payload.
+/// Equal under it means the same element, so sorted copies group repeats.
 template <typename E>
-bool SameKey(const E& a, const E& b) {
-  using K = typename ElementTraits<E>::Key;
-  return KeyTraits<K>::ToOrderedBits(ElementTraits<E>::PrimaryKey(a)) ==
-         KeyTraits<K>::ToOrderedBits(ElementTraits<E>::PrimaryKey(b));
+bool WholeLess(const E& a, const E& b) {
+  if (ElementTraits<E>::Less(a, b)) return true;
+  if (ElementTraits<E>::Less(b, a)) return false;
+  if constexpr (requires { a.value; }) return a.value < b.value;
+  return false;
 }
 
-// The cheap result invariant check: exactly k items, descending, boundary
-// counts against the input (at most k-1 input elements may outrank the k-th
-// result element, at least k must reach it), plus deterministic membership
-// spot-checks. One O(n) pass over the input — far cheaper than re-running
-// any of the algorithms, yet it catches truncation, ordering violations and
-// single-bit key corruption.
+// The result check: exactly k items, descending, and a correct top-k of the
+// input for some choice among the elements tying the k-th item. The input
+// elements that outrank the k-th item must equal, as a multiset of whole
+// elements (payload included), the items ranked above it; every other item
+// must be a distinct input element tying it. One O(n) pass over the input;
+// each input element that reaches the k-th item is looked up in the items
+// sorted by WholeLess.
 template <typename E>
 Status VerifyTopK(const E* input, size_t n, const std::vector<E>& items,
-                  size_t k, const ResilienceOptions& opts) {
+                  size_t k) {
   if (items.size() != k) {
     return Status::Internal(
         "verification: result has " + std::to_string(items.size()) +
@@ -71,25 +70,30 @@ Status VerifyTopK(const E* input, size_t n, const std::vector<E>& items,
   }
   if (k == 0) return Status::OK();
 
-  const size_t samples = std::min<size_t>(
-      static_cast<size_t>(std::max(opts.verify_samples, 0)), k);
-  std::vector<size_t> sample_idx(samples);
-  uint64_t rng =
-      opts.verify_seed * 0x9E3779B97F4A7C15ull + 0x2545F4914F6CDD1Dull;
-  for (size_t j = 0; j < samples; ++j) {
-    sample_idx[j] = static_cast<size_t>(NextRand(&rng) % k);
-  }
-  std::vector<char> found(samples, 0);
-
   const E& kth = items.back();
+  size_t above = 0;  // items ranked above the k-th: a prefix, as descending
+  while (ElementTraits<E>::Less(kth, items[above])) ++above;
+
+  // Item indices sorted by whole element; found[j] counts the input elements
+  // equal to the run of equal items that starts at order[j].
+  std::vector<size_t> order(k);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return WholeLess(items[a], items[b]);
+  });
+  std::vector<size_t> found(k, 0);
   size_t outrank = 0;  // input elements strictly greater than the k-th result
   size_t reach = 0;    // input elements >= the k-th result
   for (size_t i = 0; i < n; ++i) {
     const E& e = input[i];
+    if (ElementTraits<E>::Less(e, kth)) continue;
+    ++reach;
     if (ElementTraits<E>::Less(kth, e)) ++outrank;
-    if (!ElementTraits<E>::Less(e, kth)) ++reach;
-    for (size_t j = 0; j < samples; ++j) {
-      if (!found[j] && SameKey(e, items[sample_idx[j]])) found[j] = 1;
+    auto it = std::lower_bound(
+        order.begin(), order.end(), e,
+        [&](size_t j, const E& v) { return WholeLess(items[j], v); });
+    if (it != order.end() && !WholeLess(e, items[*it])) {
+      ++found[it - order.begin()];
     }
   }
   if (outrank > k - 1) {
@@ -104,12 +108,24 @@ Status VerifyTopK(const E* input, size_t n, const std::vector<E>& items,
         " input elements reach the k-th result element (need " +
         std::to_string(k) + ")");
   }
-  for (size_t j = 0; j < samples; ++j) {
-    if (!found[j]) {
+  if (outrank != above) {
+    return Status::Internal(
+        "verification: " + std::to_string(outrank) +
+        " input elements outrank the k-th result element, but " +
+        std::to_string(above) + " result elements do");
+  }
+  // Each run of equal items needs as many equal input elements. With
+  // outrank == above this also makes the outranking input elements exactly
+  // the items above the k-th: each matches at most one run.
+  for (size_t j = 0; j < k;) {
+    size_t end = j + 1;
+    while (end < k && !WholeLess(items[order[j]], items[order[end]])) ++end;
+    if (found[j] < end - j) {
       return Status::Internal("verification: result element " +
-                              std::to_string(sample_idx[j]) +
-                              " has no matching key in the input");
+                              std::to_string(order[j]) +
+                              " is not a distinct input element");
     }
+    j = end;
   }
   return Status::OK();
 }
@@ -130,14 +146,13 @@ StatusOr<std::vector<E>> NoItems(Status st) {
 
 /// The one retry loop: runs one stage with bounded retry of retryable
 /// faults (exponential simulated backoff) and one re-execution on a failed
-/// invariant check (skipped when verify_input is null, e.g. transfers).
+/// result check (skipped when verify_input is null, e.g. transfers).
 /// Failed attempts charge their device time (plus backoff) to the report's
 /// added_latency_ms; on success stores the verified items (if `items`).
 template <typename E, typename F>
-Status RunStage(const simt::ExecCtx& dev, const ResilienceOptions& opts,
-                const std::string& stage, const E* verify_input, size_t n,
-                size_t k, F&& fn, ExecutionReport* rep,
-                std::vector<E>* items) {
+Status RunStage(const simt::ExecCtx& dev, const std::string& stage,
+                const E* verify_input, size_t n, size_t k, F&& fn,
+                ExecutionReport* rep, std::vector<E>* items) {
   int retries = 0;
   int reruns = 0;
   Status last;
@@ -147,8 +162,8 @@ Status RunStage(const simt::ExecCtx& dev, const ResilienceOptions& opts,
     AttemptRecord rec;
     rec.stage = stage;
     if (r.ok()) {
-      Status v = (opts.verify && verify_input != nullptr)
-                     ? VerifyTopK(verify_input, n, r.value(), k, opts)
+      Status v = verify_input != nullptr
+                     ? VerifyTopK(verify_input, n, r.value(), k)
                      : Status::OK();
       if (v.ok()) {
         rep->attempts.push_back(std::move(rec));
@@ -172,11 +187,11 @@ Status RunStage(const simt::ExecCtx& dev, const ResilienceOptions& opts,
     rec.code = last.code();
     rec.detail = last.message();
     ++rep->faults_seen;
-    if (last.IsRetryable() && retries < opts.max_retries) {
+    if (last.IsRetryable() && retries < kMaxRetries) {
       // Exponential backoff before retry number `retries` (0-based),
       // charged to the device clock and the report.
       rec.backoff_ms =
-          opts.backoff_base_ms * static_cast<double>(uint64_t{1} << retries);
+          kBackoffBaseMs * static_cast<double>(uint64_t{1} << retries);
       dev.AddSimulatedDelayMs(rec.backoff_ms);
       rep->backoff_ms += rec.backoff_ms;
       ++rep->retries;
@@ -196,10 +211,9 @@ Status RunStage(const simt::ExecCtx& dev, const ResilienceOptions& opts,
 /// stages. No chunked/CPU degrade here — callers layer those on.
 template <typename E>
 Status RunGpuStages(const simt::ExecCtx& dev, simt::DeviceBuffer<E>& data, size_t n,
-                    size_t k, const ResilienceOptions& opts,
-                    ExecutionReport* rep, std::vector<E>* items) {
-  auto plan = PlanTopK(dev.spec(), MakeWorkload<E>(dev, n, k, opts.hint),
-                       opts.include_extensions);
+                    size_t k, ExecutionReport* rep, std::vector<E>* items) {
+  auto plan = PlanTopK(dev.spec(),
+                       MakeWorkload<E>(dev, n, k, Distribution::kUniform));
   if (!plan.ok()) {
     rep->attempts.push_back(
         {"planner", plan.status().code(), plan.status().message(), 0.0});
@@ -213,7 +227,7 @@ Status RunGpuStages(const simt::ExecCtx& dev, simt::DeviceBuffer<E>& data, size_
     first = false;
     const std::string& name = est.op->name();
     Status st = RunStage<E>(
-        dev, opts, name, data.host_data(), n, k,
+        dev, name, data.host_data(), n, k,
         [&] { return ItemsOf(est.op->TopKDevice(dev, data, n, k)); }, rep,
         items);
     if (st.ok()) {
@@ -230,8 +244,7 @@ Status RunGpuStages(const simt::ExecCtx& dev, simt::DeviceBuffer<E>& data, size_
 /// whose caps reject this (element type, n, k) request.
 template <typename E>
 Status RunCpuStage(const simt::ExecCtx& dev, const E* data, size_t n, size_t k,
-                   const ResilienceOptions& opts, ExecutionReport* rep,
-                   std::vector<E>* items) {
+                   ExecutionReport* rep, std::vector<E>* items) {
   Status last = Status::Internal("no CPU operator registered");
   bool first = true;
   for (const topk::TopKOperator* op : topk::CpuFallbackChain()) {
@@ -239,7 +252,7 @@ Status RunCpuStage(const simt::ExecCtx& dev, const E* data, size_t n, size_t k,
     if (!first) ++rep->fallbacks;
     first = false;
     Status st = RunStage<E>(
-        dev, opts, op->name(), data, n, k,
+        dev, op->name(), data, n, k,
         [&] { return ItemsOf(op->TopKHost(dev, data, n, k)); }, rep, items);
     if (st.ok()) {
       rep->used_cpu = true;
@@ -255,8 +268,8 @@ Status RunCpuStage(const simt::ExecCtx& dev, const E* data, size_t n, size_t k,
 
 template <typename E>
 StatusOr<ResilientResult<E>> ResilientTopKDevice(
-    const simt::ExecCtx& dev, simt::DeviceBuffer<E>& data, size_t n, size_t k,
-    const ResilienceOptions& opts) {
+    const simt::ExecCtx& dev, simt::DeviceBuffer<E>& data, size_t n,
+    size_t k) {
   if (k == 0 || k > n) {
     return Status::InvalidArgument("ResilientTopKDevice: require 1 <= k <= n");
   }
@@ -267,19 +280,19 @@ StatusOr<ResilientResult<E>> ResilientTopKDevice(
   ResilientResult<E> out;
   const double t_begin = DeviceClockMs(dev);
 
-  Status st = RunGpuStages(dev, data, n, k, opts, &out.report, &out.items);
-  if (!st.ok() && opts.allow_cpu_fallback) {
+  Status st = RunGpuStages(dev, data, n, k, &out.report, &out.items);
+  if (!st.ok()) {
     ++out.report.fallbacks;
     // Accounted readback of the input (itself subject to transient faults).
     std::vector<E> host(n);
     Status rb = RunStage<E>(
-        dev, opts, "cpu-readback", nullptr, n, k,
+        dev, "cpu-readback", nullptr, n, k,
         [&] { return NoItems<E>(dev.CopyToHost(host.data(), data, n)); },
         &out.report, nullptr);
     if (!rb.ok()) {
       return rb.WithContext("ResilientTopKDevice: input readback failed");
     }
-    st = RunCpuStage(dev, host.data(), n, k, opts, &out.report, &out.items);
+    st = RunCpuStage(dev, host.data(), n, k, &out.report, &out.items);
   }
   if (!st.ok()) {
     return st.WithContext("ResilientTopKDevice: all stages failed");
@@ -290,14 +303,12 @@ StatusOr<ResilientResult<E>> ResilientTopKDevice(
 
 template <typename E>
 StatusOr<ResilientResult<E>> ResilientTopK(const simt::ExecCtx& dev, const E* data,
-                                           size_t n, size_t k,
-                                           const ResilienceOptions& opts) {
+                                           size_t n, size_t k) {
   if (k == 0 || k > n) {
     return Status::InvalidArgument("ResilientTopK: require 1 <= k <= n");
   }
   ResilientResult<E> out;
   const double t_begin = DeviceClockMs(dev);
-  Status last = Status::OK();
   bool done = false;
 
   const size_t bytes = n * sizeof(E);
@@ -315,20 +326,14 @@ StatusOr<ResilientResult<E>> ResilientTopK(const simt::ExecCtx& dev, const E* da
       out.report.attempts.push_back({"stage-input", buf.status().code(),
                                      buf.status().message(), 0.0});
       ++out.report.faults_seen;
-      last = buf.status();
     } else {
       Status cp = RunStage<E>(
-          dev, opts, "stage-input", nullptr, n, k,
+          dev, "stage-input", nullptr, n, k,
           [&] { return NoItems<E>(dev.CopyToDevice(buf.value(), data, n)); },
           &out.report, nullptr);
-      if (cp.ok()) {
-        Status st = RunGpuStages(dev, buf.value(), n, k, opts, &out.report,
-                                 &out.items);
-        if (st.ok()) done = true;
-        else last = st;
-      } else {
-        last = cp;
-      }
+      done = cp.ok() &&
+             RunGpuStages(dev, buf.value(), n, k, &out.report, &out.items)
+                 .ok();
     }
   } else {
     out.report.attempts.push_back(
@@ -337,46 +342,36 @@ StatusOr<ResilientResult<E>> ResilientTopK(const simt::ExecCtx& dev, const E* da
              " bytes) exceeds free device memory (" +
              std::to_string(free_bytes) + " bytes)",
          0.0});
-    last = Status::ResourceExhausted(
-        "ResilientTopK: input does not fit device memory");
   }
 
   const topk::TopKOperator* streaming = topk::StreamingFallback();
-  if (!done && opts.allow_chunked_degrade && streaming != nullptr &&
+  if (!done && streaming != nullptr &&
       streaming->CheckCaps(topk::ElemTypeOf<E>::value, n, k).ok()) {
     ++out.report.fallbacks;
     out.report.degraded_to_chunked = true;
     Status st = RunStage<E>(
-        dev, opts, streaming->name(), data, n, k,
+        dev, streaming->name(), data, n, k,
         [&] { return ItemsOf(streaming->TopKHost(dev, data, n, k)); },
         &out.report, &out.items);
     if (st.ok()) {
       out.report.final_algorithm = streaming->name();
       done = true;
-    } else {
-      last = st;
     }
   }
-  if (!done && opts.allow_cpu_fallback) {
-    ++out.report.fallbacks;
-    Status st = RunCpuStage(dev, data, n, k, opts, &out.report, &out.items);
-    if (st.ok()) done = true;
-    else last = st;
-  }
   if (!done) {
-    if (last.ok()) last = Status::Internal("no execution path permitted");
-    return last.WithContext("ResilientTopK: all stages failed");
+    ++out.report.fallbacks;
+    Status st = RunCpuStage(dev, data, n, k, &out.report, &out.items);
+    if (!st.ok()) return st.WithContext("ResilientTopK: all stages failed");
   }
   out.report.total_device_ms = DeviceClockMs(dev) - t_begin;
   return out;
 }
 
-#define MPTOPK_INSTANTIATE_RESILIENT(E)                          \
-  template StatusOr<ResilientResult<E>> ResilientTopKDevice<E>(  \
-      const simt::ExecCtx&, simt::DeviceBuffer<E>&, size_t, size_t,     \
-      const ResilienceOptions&);                                 \
-  template StatusOr<ResilientResult<E>> ResilientTopK<E>(        \
-      const simt::ExecCtx&, const E*, size_t, size_t, const ResilienceOptions&);
+#define MPTOPK_INSTANTIATE_RESILIENT(E)                                  \
+  template StatusOr<ResilientResult<E>> ResilientTopKDevice<E>(          \
+      const simt::ExecCtx&, simt::DeviceBuffer<E>&, size_t, size_t);     \
+  template StatusOr<ResilientResult<E>> ResilientTopK<E>(                \
+      const simt::ExecCtx&, const E*, size_t, size_t);
 
 MPTOPK_INSTANTIATE_RESILIENT(float)
 MPTOPK_INSTANTIATE_RESILIENT(double)

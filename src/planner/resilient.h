@@ -6,20 +6,22 @@
 // in order:
 //
 //   retry    — kUnavailable failures (transient transfer faults, aborted
-//              launches) are retried on the same algorithm with bounded
-//              exponential backoff, charged to the device's simulated clock;
+//              launches) are retried on the same algorithm up to 3 times
+//              with exponential backoff (0.25 ms, 0.5 ms, 1 ms), charged to
+//              the device's simulated clock;
 //   fallback — kResourceExhausted (and any other non-retryable failure)
 //              moves on to the next-cheapest feasible algorithm;
 //   degrade  — input that does not fit device memory (or exhausts it across
 //              every algorithm) is streamed through gpu::ChunkedTopK; as the
 //              last resort the computation runs on the CPU (cpu::CpuTopK).
 //
-// Every successful attempt passes a cheap invariant check — exactly k items,
-// descending, boundary counts against the input, membership spot-checks —
-// and is re-executed once if the check fails (corrupted readback). The call
-// returns the items plus an ExecutionReport describing exactly what happened;
-// given the same fault-plan seed the decisions and reported latency are
-// bit-for-bit deterministic. See docs/robustness.md.
+// Every successful attempt passes an exhaustive result check against the
+// input — exactly k items, descending, every item (key and payload) a
+// distinct input element, and nothing in the input outranking the k-th item
+// left out — and is re-executed once if the check fails (corrupted
+// readback). The call returns the items plus an ExecutionReport describing
+// exactly what happened; given the same fault-plan seed the decisions and
+// reported latency are bit-for-bit deterministic. See docs/robustness.md.
 #ifndef MPTOPK_PLANNER_RESILIENT_H_
 #define MPTOPK_PLANNER_RESILIENT_H_
 
@@ -32,30 +34,6 @@
 #include "planner/plan_topk.h"
 
 namespace mptopk::planner {
-
-struct ResilienceOptions {
-  /// Retries of a retryable (kUnavailable) failure per stage before falling
-  /// back to the next stage.
-  int max_retries = 3;
-  /// Simulated backoff before retry r is base * 2^r milliseconds, charged to
-  /// the device clock (Device::AddSimulatedDelayMs) and to the report.
-  double backoff_base_ms = 0.25;
-  /// Run the result invariant check after every successful attempt.
-  bool verify = true;
-  /// Membership spot-checks per verification (result items sampled
-  /// deterministically from verify_seed; clamped to k).
-  int verify_samples = 3;
-  uint64_t verify_seed = 1;
-  /// Allow streaming through gpu::ChunkedTopK when the input does not fit
-  /// (host-input ResilientTopK only).
-  bool allow_chunked_degrade = true;
-  /// Allow the final CPU fallback.
-  bool allow_cpu_fallback = true;
-  /// Forwarded to PlanTopK (adds the sampling hybrid to the ranked list).
-  bool include_extensions = false;
-  /// Distribution hint for the cost models.
-  Distribution hint = Distribution::kUniform;
-};
 
 /// One execution attempt of one stage, in order.
 struct AttemptRecord {
@@ -100,16 +78,14 @@ struct ResilientResult {
 /// readback. (No chunked degrade: the data already fits on the device.)
 template <typename E>
 StatusOr<ResilientResult<E>> ResilientTopKDevice(
-    const simt::ExecCtx& dev, simt::DeviceBuffer<E>& data, size_t n, size_t k,
-    const ResilienceOptions& opts = {});
+    const simt::ExecCtx& dev, simt::DeviceBuffer<E>& data, size_t n, size_t k);
 
 /// Resilient top-k over host data: stages the input (with retry), walks the
 /// GPU chain, degrades to gpu::ChunkedTopK when the input does not fit (or
 /// exhausts device memory everywhere), and finally runs on the CPU.
 template <typename E>
 StatusOr<ResilientResult<E>> ResilientTopK(const simt::ExecCtx& dev, const E* data,
-                                           size_t n, size_t k,
-                                           const ResilienceOptions& opts = {});
+                                           size_t n, size_t k);
 
 }  // namespace mptopk::planner
 

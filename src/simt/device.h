@@ -82,9 +82,8 @@ class Device {
  public:
   explicit Device(DeviceSpec spec = DeviceSpec::TitanXMaxwell())
       : spec_(std::move(spec)),
-        racecheck_(spec_.racecheck || RacecheckEnvEnabled()),
-        host_workers_(spec_.host_workers > 0 ? spec_.host_workers
-                                             : DefaultHostWorkers()),
+        racecheck_(RacecheckEnvEnabled()),
+        host_workers_(DefaultHostWorkers()),
         default_stream_(0, "default") {}
 
   const DeviceSpec& spec() const { return spec_; }
@@ -349,8 +348,7 @@ class Device {
   /// Host worker threads used to execute launches (simulator host
   /// performance only: simulated metrics and timings are bit-identical for
   /// every count — pinned by tests/parallel_launch_test.cc). Initialized
-  /// from DeviceSpec::host_workers, falling back to the MPTOPK_WORKERS
-  /// environment variable / bench --workers override, then
+  /// from the MPTOPK_WORKERS environment variable, else
   /// min(hardware_concurrency, 8). 1 = every block in order on the caller.
   void set_host_workers(int workers) {
     host_workers_ = workers < 1 ? 1 : workers;
@@ -358,9 +356,9 @@ class Device {
   int host_workers() const { return host_workers_; }
 
   /// Toggles the barrier-epoch race checker for subsequent launches (see
-  /// simt/racecheck.h). Initialized from DeviceSpec::racecheck or the
-  /// MPTOPK_RACECHECK environment variable. Only traced blocks are checked,
-  /// so under trace sampling raise set_trace_sample_target for coverage.
+  /// simt/racecheck.h). Initialized from the MPTOPK_RACECHECK environment
+  /// variable. Only traced blocks are checked, so under trace sampling
+  /// raise set_trace_sample_target for coverage.
   void set_racecheck(bool on) { racecheck_ = on; }
   bool racecheck() const { return racecheck_; }
   /// Hazards accumulated across every checked launch since construction /

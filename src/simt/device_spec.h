@@ -62,21 +62,6 @@ struct DeviceSpec {
   /// Cost of one global atomic in nanoseconds (L2 round trip).
   double global_atomic_ns = 2.0;
 
-  // --- Host execution ------------------------------------------------------
-  /// Host worker threads per kernel launch (simulator performance only;
-  /// simulated metrics and timings are bit-identical for every value — see
-  /// docs/simulator.md). 0 = auto: the MPTOPK_WORKERS environment variable
-  /// (or the bench --workers override) when set, else
-  /// min(hardware_concurrency, 8). 1 = every block in order on the caller.
-  int host_workers = 0;
-
-  // --- Debug tooling -------------------------------------------------------
-  /// Launch every kernel under the barrier-epoch race checker
-  /// (simt/racecheck.h). Also enabled at runtime by Device::set_racecheck or
-  /// the MPTOPK_RACECHECK environment variable. Purely diagnostic: simulated
-  /// timings are identical either way.
-  bool racecheck = false;
-
   /// The configuration used throughout the paper's evaluation.
   static DeviceSpec TitanXMaxwell() { return DeviceSpec{}; }
 

@@ -10,8 +10,6 @@ namespace {
 // by the launcher anyway.
 constexpr int kMaxWorkers = 256;
 
-std::atomic<int> g_host_workers_override{0};
-
 }  // namespace
 
 BlockWorkers& BlockWorkers::Instance() {
@@ -82,8 +80,6 @@ void BlockWorkers::WorkerMain(int idx) {
 }
 
 int DefaultHostWorkers() {
-  int v = g_host_workers_override.load(std::memory_order_relaxed);
-  if (v > 0) return std::min(v, kMaxWorkers);
   if (const char* env = std::getenv("MPTOPK_WORKERS")) {
     int e = std::atoi(env);
     if (e >= 1) return std::min(e, kMaxWorkers);
@@ -91,11 +87,6 @@ int DefaultHostWorkers() {
   unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
   return static_cast<int>(std::min(hw, 8u));
-}
-
-void SetHostWorkersOverride(int workers) {
-  g_host_workers_override.store(workers < 0 ? 0 : workers,
-                                std::memory_order_relaxed);
 }
 
 }  // namespace mptopk::simt

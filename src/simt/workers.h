@@ -113,16 +113,9 @@ class BlockWorkers {
   bool stop_ = false;
 };
 
-/// Resolves the default worker count for a new Device when
-/// DeviceSpec::host_workers == 0: the SetHostWorkersOverride value if set
-/// (bench --workers), else the MPTOPK_WORKERS environment variable, else
-/// min(hardware_concurrency, 8). Always >= 1.
+/// Resolves the default worker count for a new Device: the MPTOPK_WORKERS
+/// environment variable, else min(hardware_concurrency, 8). Always >= 1.
 int DefaultHostWorkers();
-
-/// Process-wide override consulted by DefaultHostWorkers (0 clears it).
-/// Used by the bench binaries' --workers flag so every Device they
-/// construct picks it up.
-void SetHostWorkersOverride(int workers);
 
 }  // namespace mptopk::simt
 

@@ -31,10 +31,6 @@ Status TopKOperator::CheckCaps(ElemType t, size_t n, size_t k) const {
         name_ + ": require 1 <= k <= n (k=" + std::to_string(k) +
         ", n=" + std::to_string(n) + ")");
   }
-  if (n < caps_.min_n) {
-    return Status::InvalidArgument(name_ + ": require n >= " +
-                                   std::to_string(caps_.min_n));
-  }
   if (caps_.pow2_k_only && !IsPowerOfTwo(k)) {
     return Status::InvalidArgument(name_ + " requires power-of-two k (k=" +
                                    std::to_string(k) + ")");
@@ -301,7 +297,6 @@ std::unique_ptr<TopKOperator> Cpu(const char* name, cpu::CpuAlgorithm algo,
       {.backend = Backend::kCpu,
        .pow2_k_only = pow2_only,
        .max_k = max_k,
-       .retry_transient = false,
        .fallback_rank = fallback_rank},
       [algo]<typename E>(const simt::ExecCtx&, const E* data, size_t n,
                          size_t k) -> StatusOr<gpu::TopKResult<E>> {
@@ -343,7 +338,7 @@ OperatorRegistrar r_bucket(
     40, {"bucket_select"});
 OperatorRegistrar r_bitonic(
     Device("BitonicTopK", "BitonicTopK",
-           {.rounds_k_up = true, .cost_ms = &BitonicCost},
+           {.cost_ms = &BitonicCost},
            [](const simt::ExecCtx& dev, auto& data, size_t n, size_t k) {
              return RunRoundedPow2(dev, data, n, k, [&](size_t k2) {
                return gpu::BitonicTopKDevice(dev, data, n, k2,
@@ -353,11 +348,10 @@ OperatorRegistrar r_bitonic(
     50, {"bitonic"});
 OperatorRegistrar r_hybrid(
     Device("HybridTopK", "HybridTopK",
-           {.rounds_k_up = true, .extension = true, .cost_ms = &HybridCost},
+           {.extension = true, .cost_ms = &HybridCost},
            [](const simt::ExecCtx& dev, auto& data, size_t n, size_t k) {
              return RunRoundedPow2(dev, data, n, k, [&](size_t k2) {
-               return gpu::HybridTopKDevice(dev, data, n, k2,
-                                            gpu::HybridOptions{});
+               return gpu::HybridTopKDevice(dev, data, n, k2);
              });
            }),
     60, {"hybrid"});
@@ -367,8 +361,7 @@ OperatorRegistrar r_hybrid(
 OperatorRegistrar r_chunked(
     Host<kChunkedElemTypes>(
         "ChunkedTopK",
-        {.rounds_k_up = true,
-         .streams_host_input = true,
+        {.streams_host_input = true,
          .supports_bottom_k = false},
         []<typename E>(const simt::ExecCtx& dev, const E* data, size_t n,
                        size_t k) -> StatusOr<gpu::TopKResult<E>> {

@@ -100,20 +100,15 @@ struct OperatorCaps {
   /// Bitmask of ElemBit(ElemType) values this operator is compiled for.
   uint32_t elem_types = kAllElemTypes;
   /// Requires power-of-two k at the call boundary (e.g. the CPU bitonic
-  /// network). Operators that internally round k up instead set rounds_k_up.
+  /// network). The GPU bitonic and hybrid operators instead round k up
+  /// internally and trim the result.
   bool pow2_k_only = false;
   /// Largest supported k (0 = no static cap; dynamic limits such as
   /// per-thread shared-memory exhaustion surface as kResourceExhausted).
   size_t max_k = 0;
-  /// Smallest supported n (1 for every built-in).
-  size_t min_n = 1;
-  /// Rounds a non-power-of-two k up internally and trims the result.
-  bool rounds_k_up = false;
   /// Consumes host-resident input in streamed chunks (no device-resident
   /// entry point); the resilient executor's degrade stage.
   bool streams_host_input = false;
-  /// Transient faults (kUnavailable) are worth retrying with backoff.
-  bool retry_transient = true;
   /// Beyond the paper's core algorithm set (Section 8 future work); the
   /// planner only considers extensions when asked to.
   bool extension = false;

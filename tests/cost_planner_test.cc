@@ -6,7 +6,6 @@
 #include "common/distributions.h"
 #include "cost/cost_model.h"
 #include "gputopk/bitonic_topk.h"
-#include "gputopk/radix_select.h"
 #include "planner/plan_topk.h"
 
 namespace mptopk {
@@ -105,7 +104,8 @@ TEST(CostVsSimulatorTest, RadixSelectTracksMeasured) {
   auto data = GenerateFloats(n, Distribution::kUniform);
   simt::Device dev;
   dev.set_trace_sample_target(64);
-  auto r = gpu::RadixSelectTopK(dev, data.data(), n, 64);
+  auto r = topk::FindOperator("RadixSelect").value()->TopKHost(
+      dev, data.data(), n, 64);
   ASSERT_TRUE(r.ok());
   double predicted =
       cost::RadixSelectCostMs(Spec(), FloatWorkload(n, 64));

@@ -321,8 +321,6 @@ TEST(ResilientTopKTest, CorruptedResultReadbackIsCaughtAndRerun) {
   const size_t n = 1 << 14;
   const size_t k = 8;
   auto data = GenerateFloats(n, Distribution::kUniform);
-  planner::ResilienceOptions opts;
-  opts.verify_samples = static_cast<int>(k);
   // Calibrate: how many readbacks does a clean resilient run perform? The
   // last one carries the result.
   int readbacks = 0;
@@ -331,7 +329,7 @@ TEST(ResilientTopKTest, CorruptedResultReadbackIsCaughtAndRerun) {
     auto buf = dev.Alloc<float>(n).value();
     ASSERT_TRUE(dev.CopyToDevice(buf, data.data(), n).ok());
     auto plan = Install(dev, FaultPlanConfig{});
-    auto r = planner::ResilientTopKDevice(dev, buf, n, k, opts);
+    auto r = planner::ResilientTopKDevice(dev, buf, n, k);
     ASSERT_TRUE(r.ok()) << r.status();
     readbacks = plan->stats().readbacks_seen;
   }
@@ -344,7 +342,7 @@ TEST(ResilientTopKTest, CorruptedResultReadbackIsCaughtAndRerun) {
   cfg.seed = 1;
   cfg.corrupt_readback_index = readbacks;
   auto plan = Install(dev, cfg);
-  auto r = planner::ResilientTopKDevice(dev, buf, n, k, opts);
+  auto r = planner::ResilientTopKDevice(dev, buf, n, k);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(plan->stats().corruptions, 1);
   EXPECT_EQ(r->report.corruption_reruns, 1);
@@ -466,8 +464,6 @@ TEST(ResilientReportPinTest, CorruptReadbackIsRerunOnce) {
   const size_t n = 1 << 14;
   const size_t k = 8;
   auto data = GenerateFloats(n, Distribution::kUniform);
-  planner::ResilienceOptions opts;
-  opts.verify_samples = static_cast<int>(k);
   // The last readback of a clean run carries the result.
   int readbacks = 0;
   {
@@ -475,7 +471,7 @@ TEST(ResilientReportPinTest, CorruptReadbackIsRerunOnce) {
     auto buf = dev.Alloc<float>(n).value();
     ASSERT_TRUE(dev.CopyToDevice(buf, data.data(), n).ok());
     auto plan = Install(dev, FaultPlanConfig{});
-    ASSERT_TRUE(planner::ResilientTopKDevice(dev, buf, n, k, opts).ok());
+    ASSERT_TRUE(planner::ResilientTopKDevice(dev, buf, n, k).ok());
     readbacks = plan->stats().readbacks_seen;
   }
   simt::Device dev;
@@ -485,7 +481,7 @@ TEST(ResilientReportPinTest, CorruptReadbackIsRerunOnce) {
   cfg.seed = 1;
   cfg.corrupt_readback_index = readbacks;
   Install(dev, cfg);
-  auto r = planner::ResilientTopKDevice(dev, buf, n, k, opts);
+  auto r = planner::ResilientTopKDevice(dev, buf, n, k);
   ASSERT_TRUE(r.ok()) << r.status();
   ExpectReport(r->report,
                {{"BitonicTopK", StatusCode::kInternal, 0.0},
@@ -494,6 +490,55 @@ TEST(ResilientReportPinTest, CorruptReadbackIsRerunOnce) {
                /*backoff_ms=*/0.0, /*added_latency_ms=*/0.011699681839080461,
                "BitonicTopK");
   EXPECT_EQ(r->items, TopKReference(data, k));
+}
+
+// Flips one seed-chosen bit of the result readback, for 64 seeds: the result
+// check must catch every flip that changes the answer (key or payload), so
+// each run returns exactly the reference items or a clean error.
+template <typename E>
+void SweepResultCorruption(const std::vector<E>& data, size_t k) {
+  const size_t n = data.size();
+  std::vector<E> ref = data;
+  std::sort(ref.begin(), ref.end(), [](const E& a, const E& b) {
+    return ElementTraits<E>::Less(b, a);
+  });
+  ref.resize(k);
+  auto run = [&](const FaultPlanConfig& cfg, simt::FaultStats* stats) {
+    simt::Device dev;
+    auto buf = dev.Alloc<E>(n).value();
+    EXPECT_TRUE(dev.CopyToDevice(buf, data.data(), n).ok());
+    auto plan = Install(dev, cfg);
+    auto r = planner::ResilientTopKDevice(dev, buf, n, k);
+    *stats = plan->stats();
+    return r;
+  };
+  // The last readback of a clean run carries the result.
+  simt::FaultStats clean;
+  ASSERT_TRUE(run(FaultPlanConfig{}, &clean).ok());
+  std::vector<uint64_t> wrong;
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    FaultPlanConfig cfg;
+    cfg.seed = seed;
+    cfg.corrupt_readback_index = clean.readbacks_seen;
+    simt::FaultStats stats;
+    auto r = run(cfg, &stats);
+    EXPECT_EQ(stats.corruptions, 1) << "seed " << seed;
+    if (r.ok() && r->items != ref) wrong.push_back(seed);
+  }
+  EXPECT_TRUE(wrong.empty()) << wrong.size() << " of 64 seeds returned a "
+                             << "wrong answer, first seed " << wrong[0];
+}
+
+TEST(ResilientTopKTest, EveryResultCorruptionIsCaught) {
+  const size_t n = 1 << 14;
+  auto keys = GenerateFloats(n, Distribution::kUniform);
+  SweepResultCorruption(keys, 8);
+  SweepResultCorruption(keys, 64);
+  std::vector<KV> rows(n);
+  for (size_t i = 0; i < n; ++i) {
+    rows[i] = KV{keys[i], static_cast<uint32_t>(i)};
+  }
+  SweepResultCorruption(rows, 32);
 }
 
 // --- Engine routing ----------------------------------------------------------

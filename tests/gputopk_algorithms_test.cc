@@ -9,14 +9,21 @@
 
 #include "common/distributions.h"
 #include "gputopk/bitonic_topk.h"
-#include "gputopk/bucket_select.h"
 #include "gputopk/perthread_topk.h"
-#include "gputopk/radix_select.h"
-#include "gputopk/radix_sort.h"
 #include "topk/registry.h"
 
 namespace mptopk::gpu {
 namespace {
+
+/// Simulated kernel ms of the registry operator `name` on host data.
+template <typename E>
+double KernelMs(const char* name, simt::Device& dev,
+                const std::vector<E>& data, size_t k) {
+  return topk::FindOperator(name)
+      .value()
+      ->TopKHost(dev, data.data(), data.size(), k)
+      ->kernel_ms;
+}
 
 template <typename E>
 std::vector<typename ElementTraits<E>::Key> ReferenceKeys(std::vector<E> data,
@@ -174,11 +181,11 @@ TEST(AlgoShapeTest, SortIsFlatInK) {
   double t32, t256;
   {
     simt::Device dev;
-    t32 = SortTopK(dev, data.data(), data.size(), 32)->kernel_ms;
+    t32 = KernelMs("Sort", dev, data, 32);
   }
   {
     simt::Device dev;
-    t256 = SortTopK(dev, data.data(), data.size(), 256)->kernel_ms;
+    t256 = KernelMs("Sort", dev, data, 256);
   }
   EXPECT_NEAR(t32, t256, t32 * 0.02);
 }
@@ -187,7 +194,7 @@ TEST(AlgoShapeTest, BitonicBeatsSortAtSmallK) {
   auto data = GenerateFloats(1 << 20, Distribution::kUniform);
   simt::Device d1, d2;
   double bitonic = BitonicTopK(d1, data.data(), data.size(), 32)->kernel_ms;
-  double sort = SortTopK(d2, data.data(), data.size(), 32)->kernel_ms;
+  double sort = KernelMs("Sort", d2, data, 32);
   EXPECT_LT(bitonic * 4, sort) << "paper reports up to 15x";
 }
 
@@ -198,8 +205,8 @@ TEST(AlgoShapeTest, RadixSelectFasterOnUniformIntsThanFloats) {
   simt::Device d1, d2;
   auto f = GenerateFloats(n, Distribution::kUniform);
   auto u = GenerateU32(n, Distribution::kUniform);
-  double tf = RadixSelectTopK(d1, f.data(), n, 64)->kernel_ms;
-  double tu = RadixSelectTopK(d2, u.data(), n, 64)->kernel_ms;
+  double tf = KernelMs("RadixSelect", d1, f, 64);
+  double tu = KernelMs("RadixSelect", d2, u, 64);
   EXPECT_LT(tu, tf);
 }
 
@@ -208,8 +215,8 @@ TEST(AlgoShapeTest, BucketKillerDegradesRadixSelectToSortCost) {
   simt::Device d1, d2, d3;
   auto killer = GenerateFloats(n, Distribution::kBucketKiller);
   auto uniform = GenerateFloats(n, Distribution::kUniform);
-  double t_killer = RadixSelectTopK(d1, killer.data(), n, 32)->kernel_ms;
-  double t_uniform = RadixSelectTopK(d2, uniform.data(), n, 32)->kernel_ms;
+  double t_killer = KernelMs("RadixSelect", d1, killer, 32);
+  double t_uniform = KernelMs("RadixSelect", d2, uniform, 32);
   EXPECT_GT(t_killer, t_uniform * 1.5);
   // And bitonic is unaffected (data-oblivious).
   double t_bitonic = BitonicTopK(d3, killer.data(), n, 32)->kernel_ms;
@@ -220,8 +227,8 @@ TEST(AlgoShapeTest, BucketSelectFastAtK1) {
   const size_t n = 1 << 20;
   auto data = GenerateFloats(n, Distribution::kUniform);
   simt::Device d1, d2;
-  double t1 = BucketSelectTopK(d1, data.data(), n, 1)->kernel_ms;
-  double t64 = BucketSelectTopK(d2, data.data(), n, 64)->kernel_ms;
+  double t1 = KernelMs("BucketSelect", d1, data, 1);
+  double t64 = KernelMs("BucketSelect", d2, data, 64);
   EXPECT_LT(t1, t64 * 0.7) << "k=1 returns right after min/max";
 }
 

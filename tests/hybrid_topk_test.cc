@@ -26,6 +26,14 @@ void CheckAgainstReference(const TopKResult<E>& got, std::vector<E> data,
   }
 }
 
+/// The HybridTopK registry operator on host data.
+template <typename E>
+StatusOr<TopKResult<E>> Hybrid(simt::Device& dev, const std::vector<E>& data,
+                               size_t k) {
+  return topk::FindOperator("HybridTopK").value()->TopKHost(
+      dev, data.data(), data.size(), k);
+}
+
 struct HybridCase {
   size_t k;
   Distribution dist;
@@ -37,7 +45,7 @@ TEST_P(HybridSweepTest, MatchesReference) {
   auto [k, dist] = GetParam();
   auto data = GenerateFloats(1 << 16, dist, 13 * k);
   simt::Device dev;
-  auto r = HybridTopK(dev, data.data(), data.size(), k);
+  auto r = Hybrid(dev, data, k);
   ASSERT_TRUE(r.ok()) << r.status();
   CheckAgainstReference(*r, data, k);
 }
@@ -62,7 +70,7 @@ TEST(HybridTopKTest, BucketKillerTakesFallback) {
   // still be correct.
   auto data = GenerateFloats(1 << 16, Distribution::kBucketKiller);
   simt::Device with_hybrid, plain;
-  auto hy = HybridTopK(with_hybrid, data.data(), data.size(), 32);
+  auto hy = Hybrid(with_hybrid, data, 32);
   auto bi = BitonicTopK(plain, data.data(), data.size(), 32);
   ASSERT_TRUE(hy.ok());
   ASSERT_TRUE(bi.ok());
@@ -80,7 +88,7 @@ TEST(HybridTopKTest, BeatsBitonicOnUniformIntsAtScale) {
   simt::Device d1, d2;
   d1.set_trace_sample_target(24);
   d2.set_trace_sample_target(24);
-  auto hy = HybridTopK(d1, data.data(), n, 32);
+  auto hy = Hybrid(d1, data, 32);
   auto bi = BitonicTopK(d2, data.data(), n, 32);
   ASSERT_TRUE(hy.ok());
   ASSERT_TRUE(bi.ok());
@@ -98,7 +106,7 @@ TEST(HybridTopKTest, BeatsBitonicOnUniformFloatsAtScale) {
   simt::Device d1, d2;
   d1.set_trace_sample_target(24);
   d2.set_trace_sample_target(24);
-  auto hy = HybridTopK(d1, data.data(), n, 32);
+  auto hy = Hybrid(d1, data, 32);
   auto bi = BitonicTopK(d2, data.data(), n, 32);
   ASSERT_TRUE(hy.ok());
   ASSERT_TRUE(bi.ok());
@@ -113,7 +121,7 @@ TEST(HybridTopKTest, KVPayloadsSurvive) {
     data[i] = KV{keys[i], static_cast<uint32_t>(i)};
   }
   simt::Device dev;
-  auto r = HybridTopK(dev, data.data(), data.size(), 64);
+  auto r = Hybrid(dev, data, 64);
   ASSERT_TRUE(r.ok()) << r.status();
   for (const KV& kv : r->items) {
     EXPECT_EQ(data[kv.value].key, kv.key);
@@ -123,8 +131,7 @@ TEST(HybridTopKTest, KVPayloadsSurvive) {
 TEST(HybridTopKTest, OperatorRoundsUpNonPowerOfTwoK) {
   auto data = GenerateFloats(1 << 15, Distribution::kUniform);
   simt::Device dev;
-  auto r = topk::FindOperator("HybridTopK").value()->TopKHost(
-      dev, data.data(), data.size(), 100);
+  auto r = Hybrid(dev, data, 100);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->items.size(), 100u);
   CheckAgainstReference(*r, data, 100);
@@ -133,9 +140,11 @@ TEST(HybridTopKTest, OperatorRoundsUpNonPowerOfTwoK) {
 TEST(HybridTopKTest, RejectsBadArguments) {
   auto data = GenerateFloats(128, Distribution::kUniform);
   simt::Device dev;
-  EXPECT_FALSE(HybridTopK(dev, data.data(), 128, 0).ok());
-  EXPECT_FALSE(HybridTopK(dev, data.data(), 128, 3).ok());
-  EXPECT_FALSE(HybridTopK(dev, data.data(), 128, 256).ok());
+  auto buf = dev.Alloc<float>(128).value();
+  ASSERT_TRUE(dev.CopyToDevice(buf, data.data(), 128).ok());
+  EXPECT_FALSE(HybridTopKDevice(dev, buf, 128, 0).ok());
+  EXPECT_FALSE(HybridTopKDevice(dev, buf, 128, 3).ok());
+  EXPECT_FALSE(HybridTopKDevice(dev, buf, 128, 256).ok());
 }
 
 }  // namespace

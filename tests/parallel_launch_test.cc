@@ -189,24 +189,9 @@ TEST(ParallelLaunch, WorkerCountResolution) {
     EXPECT_EQ(dev.host_workers(), 1);
   }
   {
-    simt::DeviceSpec spec;
-    spec.host_workers = 5;
-    Device dev(spec);
-    EXPECT_EQ(dev.host_workers(), 5);
-  }
-  {
     ::setenv("MPTOPK_WORKERS", "3", 1);
     Device dev;
     EXPECT_EQ(dev.host_workers(), 3);
-    ::unsetenv("MPTOPK_WORKERS");
-  }
-  {
-    // The bench --workers override outranks the environment.
-    ::setenv("MPTOPK_WORKERS", "3", 1);
-    simt::SetHostWorkersOverride(2);
-    Device dev;
-    EXPECT_EQ(dev.host_workers(), 2);
-    simt::SetHostWorkersOverride(0);
     ::unsetenv("MPTOPK_WORKERS");
   }
 }

@@ -271,31 +271,28 @@ TEST(RacecheckGate, ChunkedClean) {
 
 TEST(RacecheckGate, EngineQueriesClean) {
   simt::Device dev;
-  const bool initial_racecheck = dev.racecheck();
   auto table = engine::MakeTweetsTable(&dev, 1 << 14, 123).value();
+  dev.set_racecheck(true);
   engine::Filter filter{{engine::FilterClause{
       "tweet_time", engine::CompareOp::kLt, 1000.0}}};
   engine::Ranking ranking{{engine::RankingTerm{"retweet_count", 1.0}}};
-  engine::ExecOptions exec;
-  exec.racecheck = true;
   for (auto strategy :
        {engine::TopKStrategy::kFilterSort, engine::TopKStrategy::kFilterBitonic,
         engine::TopKStrategy::kCombinedBitonic}) {
+    const uint64_t checked = dev.race_report().blocks_checked;
     auto r = engine::FilterTopKQuery(*table, filter, ranking, "id", 64,
-                                     strategy, exec);
+                                     strategy);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r->race_hazards, 0u)
-        << StrategyName(strategy) << ": " << r->racecheck_summary;
-    EXPECT_FALSE(r->racecheck_summary.empty()) << StrategyName(strategy);
+    EXPECT_TRUE(dev.race_report().clean())
+        << StrategyName(strategy) << ": " << dev.race_report().Summary();
+    EXPECT_GT(dev.race_report().blocks_checked, checked)
+        << StrategyName(strategy);
   }
-  // The query scope must restore the device's prior state.
-  EXPECT_EQ(dev.racecheck(), initial_racecheck);
 
   auto g = engine::GroupByCountTopKQuery(*table, "lang", 8,
-                                         engine::GroupByStrategy::kBitonic,
-                                         exec);
+                                         engine::GroupByStrategy::kBitonic);
   ASSERT_TRUE(g.ok()) << g.status().ToString();
-  EXPECT_EQ(g->race_hazards, 0u) << g->racecheck_summary;
+  EXPECT_TRUE(dev.race_report().clean()) << dev.race_report().Summary();
 }
 
 TEST(Racecheck, EnvToggleEnablesDevice) {
@@ -312,11 +309,6 @@ TEST(Racecheck, EnvToggleEnablesDevice) {
   } else {
     unsetenv("MPTOPK_RACECHECK");
   }
-
-  simt::DeviceSpec spec;
-  spec.racecheck = true;
-  Device via_spec(spec);
-  EXPECT_TRUE(via_spec.racecheck());
 }
 
 }  // namespace
