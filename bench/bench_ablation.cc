@@ -16,10 +16,11 @@ double RunBitonic(const std::vector<float>& data, size_t k,
                   simt::KernelMetrics* metrics_out) {
   simt::Device dev;
   dev.set_trace_sample_target(ts);
+  const simt::DeviceTimeTracker clock(dev);
   auto r = gpu::BitonicTopK(dev, data.data(), data.size(), k, opts);
   if (!r.ok()) return kNaN;
   if (metrics_out != nullptr) *metrics_out = dev.total_metrics();
-  return r->kernel_ms;
+  return clock.ElapsedMs();
 }
 
 int Main(int argc, char** argv) {
@@ -81,6 +82,7 @@ int Main(int argc, char** argv) {
   for (const Level& lvl : levels) {
     simt::Device dev;
     dev.set_trace_sample_target(ts);
+    const simt::DeviceTimeTracker clock(dev);
     auto r = gpu::BitonicTopK(dev, data.data(), n, k, lvl.opts);
     if (!r.ok()) {
       std::fprintf(stderr, "%s: %s\n", lvl.name,
@@ -88,11 +90,11 @@ int Main(int argc, char** argv) {
       return 1;
     }
     const auto& m = dev.total_metrics();
-    t.AddRow({lvl.name, MsCell(r->kernel_ms),
+    t.AddRow({lvl.name, MsCell(clock.ElapsedMs()),
               TablePrinter::Cell(m.global_bytes / 1e6, 1),
               std::to_string(m.shared_cycles),
               std::to_string(m.bank_conflict_cycles),
-              std::to_string(r->kernels_launched)});
+              std::to_string(clock.Launches())});
   }
   PrintTable(t, flags.GetBool("csv"));
   return 0;

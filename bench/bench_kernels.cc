@@ -30,7 +30,7 @@ void BM_SimBitonicTopK(benchmark::State& state) {
     simt::Device dev;
     dev.set_trace_sample_target(8);
     auto r = gpu::BitonicTopK(dev, data.data(), n, state.range(0));
-    benchmark::DoNotOptimize(r->kernel_ms);
+    benchmark::DoNotOptimize(r->items);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -43,7 +43,7 @@ void BM_SimTracedVsUntraced(benchmark::State& state) {
     simt::Device dev;
     dev.set_trace_sample_target(static_cast<int>(state.range(0)));
     auto r = gpu::BitonicTopK(dev, data.data(), n, 32);
-    benchmark::DoNotOptimize(r->kernel_ms);
+    benchmark::DoNotOptimize(r->items);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

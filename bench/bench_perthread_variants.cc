@@ -18,10 +18,11 @@ double RunVariant(const std::vector<float>& data, size_t k, bool registers,
   dev.set_trace_sample_target(ts);
   gpu::PerThreadOptions o;
   o.use_registers = registers;
+  const simt::DeviceTimeTracker clock(dev);
   auto r = gpu::PerThreadTopK(dev, data.data(), data.size(), k, o);
   if (!r.ok()) return kNaN;
   if (local_bytes != nullptr) *local_bytes = dev.total_metrics().local_bytes;
-  return r->kernel_ms;
+  return clock.ElapsedMs();
 }
 
 int Main(int argc, char** argv) {

@@ -16,20 +16,22 @@
 namespace mptopk::bench {
 namespace {
 
-double DeviceMs(const simt::Device& dev) {
-  return dev.total_sim_ms() + dev.pcie_ms();
+// Simulated device ms (kernels + PCIe + backoff) since `clock` started.
+double DeviceMs(const simt::DeviceTimeTracker& clock) {
+  return clock.ElapsedMs() + clock.PcieMs();
 }
 
 // Direct path: stage the input, plan once, run the chosen algorithm.
 double RunDirect(const std::vector<float>& data, size_t k, int trace_sample) {
   simt::Device dev;
   dev.set_trace_sample_target(trace_sample);
+  const simt::DeviceTimeTracker clock(dev);
   auto buf = dev.Alloc<float>(data.size());
   if (!buf.ok()) return kNaN;
   if (!dev.CopyToDevice(*buf, data.data(), data.size()).ok()) return kNaN;
   auto r = planner::PlannedTopKDevice(dev, *buf, data.size(), k);
   if (!r.ok()) return kNaN;
-  return DeviceMs(dev);
+  return DeviceMs(clock);
 }
 
 // Resilient path, optionally under a fault plan. Returns total simulated ms
@@ -42,11 +44,12 @@ double RunResilient(const std::vector<float>& data, size_t k,
   if (faults != nullptr) {
     dev.set_fault_plan(std::make_shared<simt::FaultPlan>(*faults));
   }
+  const simt::DeviceTimeTracker clock(dev);
   auto r = planner::ResilientTopK(dev, data.data(), data.size(), k);
   if (!r.ok()) return kNaN;
   *added_ms = r->report.added_latency_ms;
   *summary = r->report.Summary();
-  return r->report.total_device_ms;
+  return DeviceMs(clock);
 }
 
 int Main(int argc, char** argv) {

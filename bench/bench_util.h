@@ -44,13 +44,14 @@ double RunOp(const topk::TopKOperator& op, const std::vector<E>& data,
              size_t k, int trace_sample) {
   simt::Device dev;
   dev.set_trace_sample_target(trace_sample);
+  const simt::DeviceTimeTracker clock(dev);
   auto r = op.TopKHost(dev, data.data(), data.size(), k);
   if (dev.racecheck() && !dev.race_report().clean()) {
     std::fprintf(stderr, "%s: %s\n", op.name().c_str(),
                  dev.race_report().Summary().c_str());
   }
   if (!r.ok()) return kNaN;
-  return r->kernel_ms;
+  return clock.ElapsedMs();
 }
 
 /// Name-addressed variant: resolves `name` (canonical or alias) through

@@ -55,7 +55,7 @@ int main() {
     auto r = e.op->TopKHost(dev, data.data(), n, 32);
     std::printf("  %-14s predicted %8.3f ms   measured %8.3f ms\n",
                 e.op->name().c_str(), e.predicted_ms,
-                r.ok() ? r->kernel_ms : -1.0);
+                r.ok() ? dev.total_sim_ms() : -1.0);
   }
   std::printf("planner's pick: %s\n", plan->best->name().c_str());
 

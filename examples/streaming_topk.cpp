@@ -3,6 +3,7 @@
 // candidates (paper Section 4.3, "Data larger than GPU memory").
 //
 //   $ ./streaming_topk [--n_log2=22] [--chunks=8]
+#include <algorithm>
 #include <cstdio>
 
 #include "common/distributions.h"
@@ -33,6 +34,7 @@ int main(int argc, char** argv) {
 
   simt::Device dev;
   dev.set_trace_sample_target(16);
+  const simt::DeviceTimeTracker clock(dev);
   auto r = gpu::ChunkedTopK(dev, data.data(), n, k, chunk);
   if (!r.ok()) {
     std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
@@ -41,11 +43,15 @@ int main(int argc, char** argv) {
   std::printf("streamed %d chunks of %zu elements\n", r->chunks, chunk);
   std::printf("top-%zu head: %.7f %.7f %.7f ...\n", k, r->items[0],
               r->items[1], r->items[2]);
+  // Transfer can overlap compute (max) or run serialized with it (sum).
+  const double kernel_ms = clock.ElapsedMs();
+  const double pcie_ms = clock.PcieMs();
   std::printf("kernel %.3f ms + PCIe %.3f ms  ->  %.3f ms overlapped, "
               "%.3f ms serialized\n",
-              r->kernel_ms, r->pcie_ms, r->overlapped_ms, r->serialized_ms);
+              kernel_ms, pcie_ms, std::max(kernel_ms, pcie_ms),
+              kernel_ms + pcie_ms);
   std::printf("(the reductive top-k keeps the device-side work at ~%.0f%% "
               "of transfer: chunked top-k is PCIe bound, as the paper "
-              "argues)\n", 100.0 * r->kernel_ms / r->pcie_ms);
+              "argues)\n", 100.0 * kernel_ms / pcie_ms);
   return 0;
 }

@@ -1,10 +1,11 @@
 #!/bin/sh
 # Regenerates every paper table/figure reproduction into results/*.txt.
 # Default scale: n = 2^20 (paper: 2^29); pass a different exponent as $1.
+# Stops at the first bench that exits non-zero.
 N=${1:-20}
 cd "$(dirname "$0")/.."
 B=build/bench
-set -x
+set -ex
 $B/bench_vary_k --dtype=f32 --n_log2=$N > results/fig11a_vary_k_f32.txt
 $B/bench_vary_k --dtype=u32 --n_log2=$N > results/fig11b_vary_k_u32.txt
 $B/bench_vary_k --dtype=f64 --n_log2=$N > results/fig11c_vary_k_f64.txt

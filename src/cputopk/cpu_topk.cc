@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/bits.h"
-#include "common/timer.h"
 #include "cputopk/simd_step.h"
 
 
@@ -257,7 +256,6 @@ StatusOr<CpuTopKResult<E>> CpuTopK(const E* data, size_t n, size_t k,
     // NaN order of key_transform.h.
     if constexpr (std::is_floating_point_v<typename ElementTraits<E>::Key>) {
       if (AnyNanKey(data, n)) {
-        Timer timer;
         std::vector<E> nans, rest;
         rest.reserve(n);
         for (size_t i = 0; i < n; ++i) {
@@ -284,7 +282,6 @@ StatusOr<CpuTopKResult<E>> CpuTopK(const E* data, size_t n, size_t k,
                                 rest.begin() + rem);
           }
         }
-        result.wall_ms = timer.ElapsedMs();
         return result;
       }
     }
@@ -297,7 +294,6 @@ StatusOr<CpuTopKResult<E>> CpuTopK(const E* data, size_t n, size_t k,
   nthreads = static_cast<int>(
       std::min<size_t>(nthreads, std::max<size_t>(1, n / (4 * k + 1))));
 
-  Timer timer;
   std::vector<std::vector<E>> partials(nthreads);
   auto run_partition = [&](int tid) {
     size_t chunk = n / nthreads;
@@ -336,7 +332,6 @@ StatusOr<CpuTopKResult<E>> CpuTopK(const E* data, size_t n, size_t k,
 
   CpuTopKResult<E> result;
   result.items = std::move(all);
-  result.wall_ms = timer.ElapsedMs();
   result.threads_used = nthreads;
   return result;
 }

@@ -13,8 +13,8 @@
 //    which is why it wins on sorted (worst-case) inputs despite doing
 //    O(n log^2 k) comparisons.
 //
-// Wall-clock timings are real host measurements (the GPU side reports
-// simulated device time instead).
+// The result carries only the answer; callers time the call on the host
+// clock (common/timer.h).
 #ifndef MPTOPK_CPUTOPK_CPU_TOPK_H_
 #define MPTOPK_CPUTOPK_CPU_TOPK_H_
 
@@ -48,8 +48,6 @@ template <typename E>
 struct CpuTopKResult {
   /// The k greatest elements, descending.
   std::vector<E> items;
-  /// Wall-clock milliseconds (host).
-  double wall_ms = 0.0;
   int threads_used = 1;
 };
 

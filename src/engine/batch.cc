@@ -65,6 +65,7 @@ StatusOr<BatchReport> BatchExecutor::Execute(
 
     ExecOptions exec = q.exec;
     exec.ctx = &ctx;
+    const simt::DeviceTimeTracker clock(dev);
     switch (q.kind) {
       case BatchQuery::Kind::kFilterTopK: {
         auto r = FilterTopKQuery(table_, q.filter, q.ranking, q.id_column,
@@ -88,6 +89,7 @@ StatusOr<BatchReport> BatchExecutor::Execute(
       }
     }
     item.finish_ms = stream->now_ms();
+    item.kernel_ms = clock.ElapsedMs();
     item.arena_peak_bytes = arena.peak_bytes;
     if (!item.status.ok()) ++report.failed;
     report.serialized_sum_ms += item.finish_ms - item.start_ms;

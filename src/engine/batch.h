@@ -53,6 +53,9 @@ struct BatchItemReport {
   int stream_id = 0;
   double start_ms = 0.0;
   double finish_ms = 0.0;
+  /// Simulated busy ms this query consumed (kernels plus charged backoff;
+  /// PCIe excluded), measured around it.
+  double kernel_ms = 0.0;
   /// Peak bytes live in this query's arena (its working set).
   size_t arena_peak_bytes = 0;
   Status status = Status::OK();

@@ -8,6 +8,7 @@
 
 #include "common/bits.h"
 #include "gputopk/bitonic_kernels.h"
+#include "gputopk/kernel_util.h"
 #include "gputopk/radix_sort.h"
 #include "planner/resilient.h"
 #include "topk/registry.h"
@@ -352,9 +353,7 @@ Status LaunchFusedFilterTopK(const simt::ExecCtx& dev, const CompiledQuery& q,
           matched_total += total;
           if (fill > flush_level) flush();
         }
-        if (fill > 0 || range_lo >= range_hi) {
-          if (fill > 0) flush();
-        }
+        if (fill > 0) flush();
         blk.ForEachThread([&](Thread& t) {
           if (t.tid == 0 && matched_total > 0) {
             counters.ReduceAdd(t, 1, matched_total);
@@ -487,8 +486,6 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
   }
   MPTOPK_ASSIGN_OR_RETURN(CompiledQuery q, Compile(table, filter, ranking));
 
-  gpu::DeviceTimeTracker tracker(dev);
-  double pcie_start = dev.pcie_ms();
   MPTOPK_ASSIGN_OR_RETURN(auto counters, dev.Alloc<uint32_t>(2));
   counters.host_data()[0] = 0;
   counters.host_data()[1] = 0;
@@ -518,13 +515,7 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
     MPTOPK_RETURN_NOT_OK(dev.CopyToHost(counter_vals, counters, 2));
     matched = counter_vals[1];
     size_t emitted = counter_vals[0];
-    if (matched == 0) {
-      QueryResult empty;
-      empty.kernel_ms = tracker.ElapsedMs();
-      empty.end_to_end_ms = empty.kernel_ms + (dev.pcie_ms() - pcie_start);
-      empty.kernels_launched = tracker.Launches();
-      return empty;
-    }
+    if (matched == 0) return QueryResult{};
     auto reduced = gpu::BitonicReduceRuns(dev, cand, emitted, k2);
     if (reduced.ok()) {
       top = std::move(reduced).value();
@@ -544,13 +535,7 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
     uint32_t counter_vals[2];
     MPTOPK_RETURN_NOT_OK(dev.CopyToHost(counter_vals, counters, 2));
     matched = counter_vals[0];
-    if (matched == 0) {
-      QueryResult empty;
-      empty.kernel_ms = tracker.ElapsedMs();
-      empty.end_to_end_ms = empty.kernel_ms + (dev.pcie_ms() - pcie_start);
-      empty.kernels_launched = tracker.Launches();
-      return empty;
-    }
+    if (matched == 0) return QueryResult{};
     const size_t k_eff = std::min(k, matched);
     if (exec.resilient) {
       MPTOPK_ASSIGN_OR_RETURN(top, ResilientStep(dev, kv_buf, matched, k_eff,
@@ -592,9 +577,6 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
     result.ids.resize(rows.size());
     MPTOPK_RETURN_NOT_OK(dev.CopyToHost(result.ids.data(), ids_buf, rows.size()));
   }
-  result.kernel_ms = tracker.ElapsedMs();
-  result.end_to_end_ms = result.kernel_ms + (dev.pcie_ms() - pcie_start);
-  result.kernels_launched = tracker.Launches();
   result.resilience_summary = std::move(resilience_summary);
   return result;
 }
@@ -612,7 +594,15 @@ StatusOr<GroupByResult> GroupByCountTopKQuery(Table& table,
     return Status::InvalidArgument("group column must be int32");
   }
 
-  gpu::DeviceTimeTracker tracker(dev);
+  // A negative key would alias the hash table's empty-slot marker once cast
+  // to uint32_t, so it is rejected before anything runs on the device.
+  const int32_t* gvals = gcol->i32.host_data();
+  if (std::any_of(gvals, gvals + n, [](int32_t v) { return v < 0; })) {
+    return Status::InvalidArgument("group column '" + group_column +
+                                   "' has a negative value");
+  }
+
+  const simt::DeviceTimeTracker tracker(dev.device());
   const uint32_t slots = HashSlots(n);
   MPTOPK_ASSIGN_OR_RETURN(auto keys, dev.Alloc<uint32_t>(slots));
   MPTOPK_ASSIGN_OR_RETURN(auto counts, dev.Alloc<uint32_t>(slots));
@@ -638,11 +628,7 @@ StatusOr<GroupByResult> GroupByCountTopKQuery(Table& table,
   GroupByResult result;
   result.num_groups = num_groups;
   result.groupby_ms = groupby_ms;
-  if (num_groups == 0) {
-    result.kernel_ms = tracker.ElapsedMs();
-    result.kernels_launched = tracker.Launches();
-    return result;
-  }
+  if (num_groups == 0) return result;
   const size_t k_eff = std::min<size_t>(k, num_groups);
   TopKResult<KV> top;
   if (exec.resilient) {
@@ -663,8 +649,6 @@ StatusOr<GroupByResult> GroupByCountTopKQuery(Table& table,
     result.keys.push_back(static_cast<int32_t>(kv.value));
     result.counts.push_back(static_cast<uint32_t>(kv.key));
   }
-  result.kernel_ms = tracker.ElapsedMs();
-  result.kernels_launched = tracker.Launches();
   return result;
 }
 

@@ -111,11 +111,6 @@ struct QueryResult {
   std::vector<int64_t> ids;
   std::vector<float> rank_values;
   size_t matched_rows = 0;
-  /// Simulated device kernel time.
-  double kernel_ms = 0.0;
-  /// kernel_ms plus PCIe staging of the (small) result.
-  double end_to_end_ms = 0.0;
-  int kernels_launched = 0;
   /// ExecutionReport::Summary() of the resilient top-k step (empty when
   /// ExecOptions::resilient is off or the step did not run).
   std::string resilience_summary;
@@ -135,16 +130,16 @@ struct GroupByResult {
   std::vector<int32_t> keys;      // group keys, descending by count
   std::vector<uint32_t> counts;
   size_t num_groups = 0;
-  double kernel_ms = 0.0;
+  /// Simulated ms of the two phases (paper Q4's split); the whole query's
+  /// time is read off the device around the call (simt::DeviceTimeTracker).
   double groupby_ms = 0.0;  // hash build + group compaction
   double topk_ms = 0.0;     // the ORDER BY COUNT(*) LIMIT k step
-  int kernels_launched = 0;
   /// See QueryResult::resilience_summary.
   std::string resilience_summary;
 };
 
 /// GROUP BY count + top-k by count (paper query 4). `group_column` must be
-/// kInt32 with non-negative values.
+/// kInt32 with non-negative values; a negative value is kInvalidArgument.
 StatusOr<GroupByResult> GroupByCountTopKQuery(Table& table,
                                               const std::string& group_column,
                                               size_t k, GroupByStrategy strategy,

@@ -12,7 +12,6 @@
 #include "common/bits.h"
 #include "gputopk/bitonic_plan.h"
 #include "gputopk/bitonic_topk.h"
-#include "gputopk/kernel_util.h"
 
 namespace mptopk::gpu::bitonic {
 

@@ -18,7 +18,6 @@
 
 #include "common/bits.h"
 #include "gputopk/bitonic_kernels.h"
-#include "gputopk/kernel_util.h"
 
 namespace mptopk::gpu {
 namespace {
@@ -239,8 +238,6 @@ StatusOr<TopKResult<E>> BitonicTopKDevice(const simt::ExecCtx& dev,
   }
   MPTOPK_ASSIGN_OR_RETURN(Geometry<E> g,
                           ResolveGeometry<E>(dev.spec(), k, opts));
-
-  DeviceTimeTracker tracker(dev);
   MPTOPK_ASSIGN_OR_RETURN(auto out_k, dev.Alloc<E>(k));
   if (opts.fuse_kernels) {
     MPTOPK_RETURN_NOT_OK(RunFused(dev, data, n, k, g, &out_k));
@@ -251,8 +248,6 @@ StatusOr<TopKResult<E>> BitonicTopKDevice(const simt::ExecCtx& dev,
   TopKResult<E> result;
   result.items.resize(k);
   MPTOPK_RETURN_NOT_OK(dev.CopyToHost(result.items.data(), out_k, k));
-  result.kernel_ms = tracker.ElapsedMs();
-  result.kernels_launched = tracker.Launches();
   return result;
 }
 
@@ -270,7 +265,6 @@ StatusOr<TopKResult<E>> BitonicReduceRuns(const simt::ExecCtx& dev,
   }
   MPTOPK_ASSIGN_OR_RETURN(Geometry<E> g,
                           ResolveGeometry<E>(dev.spec(), k, opts));
-  DeviceTimeTracker tracker(dev);
   MPTOPK_ASSIGN_OR_RETURN(auto out_k, dev.Alloc<E>(k));
   GlobalSpan<E> out(out_k);
   GlobalSpan<E> a(runs);
@@ -298,8 +292,6 @@ StatusOr<TopKResult<E>> BitonicReduceRuns(const simt::ExecCtx& dev,
   TopKResult<E> result;
   result.items.resize(k);
   MPTOPK_RETURN_NOT_OK(dev.CopyToHost(result.items.data(), out_k, k));
-  result.kernel_ms = tracker.ElapsedMs();
-  result.kernels_launched = tracker.Launches();
   return result;
 }
 

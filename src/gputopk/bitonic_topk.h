@@ -59,8 +59,6 @@ struct BitonicOptions {
   static BitonicOptions Naive() {
     return BitonicOptions{false, false, false, false, false, false, 0, 0};
   }
-  /// Everything enabled (default).
-  static BitonicOptions AllOptimizations() { return BitonicOptions{}; }
 };
 
 /// Computes the top-k (greatest by ElementTraits ordering) of the

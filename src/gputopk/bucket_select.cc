@@ -194,7 +194,6 @@ StatusOr<TopKResult<E>> BucketSelectTopKDevice(const simt::ExecCtx& dev,
     return Status::InvalidArgument("require 1 <= k <= n");
   }
   using U = KeyBits<E>;
-  DeviceTimeTracker tracker(dev);
   MPTOPK_ASSIGN_OR_RETURN(auto result_buf, dev.Alloc<E>(k));
   MPTOPK_ASSIGN_OR_RETURN(auto minmax_buf, dev.Alloc<uint64_t>(2));
   minmax_buf.host_data()[0] = UINT64_MAX;
@@ -209,14 +208,11 @@ StatusOr<TopKResult<E>> BucketSelectTopKDevice(const simt::ExecCtx& dev,
   U lo = static_cast<U>(mm[0]);
   U hi = static_cast<U>(mm[1]);
 
-  auto finish = [&](int launches_unused) -> StatusOr<TopKResult<E>> {
-    (void)launches_unused;
+  auto finish = [&]() -> StatusOr<TopKResult<E>> {
     TopKResult<E> out;
     out.items.resize(k);
     MPTOPK_RETURN_NOT_OK(dev.CopyToHost(out.items.data(), result_buf, k));
     SortDescending(&out.items);
-    out.kernel_ms = tracker.ElapsedMs();
-    out.kernels_launched = tracker.Launches();
     return out;
   };
 
@@ -226,7 +222,7 @@ StatusOr<TopKResult<E>> BucketSelectTopKDevice(const simt::ExecCtx& dev,
     flag.host_data()[0] = 0;
     GlobalSpan<uint32_t> f(flag);
     MPTOPK_RETURN_NOT_OK(LaunchGatherMax(dev, input, n, mm[1], result, f));
-    return finish(0);
+    return finish();
   }
 
   MPTOPK_ASSIGN_OR_RETURN(auto cand_a, dev.Alloc<E>(n));
@@ -290,7 +286,7 @@ StatusOr<TopKResult<E>> BucketSelectTopKDevice(const simt::ExecCtx& dev,
   if (k_rem > 0) {
     return Status::Internal("bucket select failed to converge");
   }
-  return finish(0);
+  return finish();
 }
 
 #define MPTOPK_INSTANTIATE_BSELECT(E)                                       \

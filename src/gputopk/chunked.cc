@@ -20,9 +20,6 @@ StatusOr<ChunkedTopKResult<E>> ChunkedTopK(const simt::ExecCtx& dev, const E* da
   }
   chunk_elems = std::max(chunk_elems, 2 * k);
 
-  const double start_kernel = dev.total_sim_ms();
-  const double start_pcie = dev.pcie_ms();
-
   ChunkedTopKResult<E> result;
   const size_t chunks = CeilDiv(n, chunk_elems);
   result.chunks = static_cast<int>(chunks);
@@ -48,10 +45,6 @@ StatusOr<ChunkedTopKResult<E>> ChunkedTopK(const simt::ExecCtx& dev, const E* da
                           reduce->TopKDevice(dev, candidates, cand_count,
                                              std::min(k, cand_count)));
   result.items = std::move(top.items);
-  result.kernel_ms = dev.total_sim_ms() - start_kernel;
-  result.pcie_ms = dev.pcie_ms() - start_pcie;
-  result.overlapped_ms = std::max(result.kernel_ms, result.pcie_ms);
-  result.serialized_ms = result.kernel_ms + result.pcie_ms;
   return result;
 }
 

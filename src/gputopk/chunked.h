@@ -3,8 +3,9 @@
 // chunks; each chunk's top-k candidates are retained on-device and reduced
 // at the end. The reductive nature of top-k makes the final reduction
 // negligible (c * k elements for c chunks), and transfer can overlap with
-// compute on real hardware — here PCIe staging is accounted separately so
-// both the overlapped and serialized costs can be reported.
+// compute on real hardware — the device accounts PCIe staging apart from
+// kernel time, so a caller can report both the overlapped (max) and the
+// serialized (sum) cost.
 #ifndef MPTOPK_GPUTOPK_CHUNKED_H_
 #define MPTOPK_GPUTOPK_CHUNKED_H_
 
@@ -18,11 +19,6 @@ namespace mptopk::gpu {
 template <typename E>
 struct ChunkedTopKResult {
   std::vector<E> items;  ///< top-k, descending
-  double kernel_ms = 0.0;
-  double pcie_ms = 0.0;
-  /// Time if transfer overlaps compute (max) vs fully serialized (sum).
-  double overlapped_ms = 0.0;
-  double serialized_ms = 0.0;
   int chunks = 0;
 };
 

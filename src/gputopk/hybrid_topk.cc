@@ -21,7 +21,6 @@
 #include "common/bits.h"
 #include "common/key_transform.h"
 #include "gputopk/bitonic_topk.h"
-#include "gputopk/kernel_util.h"
 
 namespace mptopk::gpu {
 namespace {
@@ -162,14 +161,7 @@ StatusOr<TopKResult<E>> HybridTopKDevice(const simt::ExecCtx& dev,
   if (!IsPowerOfTwo(k)) {
     return Status::InvalidArgument("hybrid top-k requires power-of-two k");
   }
-  DeviceTimeTracker tracker(dev);
   GlobalSpan<E> in(data);
-
-  auto finish = [&](TopKResult<E> r) {
-    r.kernel_ms = tracker.ElapsedMs();
-    r.kernels_launched = tracker.Launches();
-    return r;
-  };
 
   const size_t s = std::min(n, kSampleSize);
   // The pivot rank in the sample: expected candidates = m * n/s; aim for a
@@ -178,8 +170,7 @@ StatusOr<TopKResult<E>> HybridTopKDevice(const simt::ExecCtx& dev,
       s / 2, std::max<size_t>(32, CeilDiv(4 * k * s, std::max(n, s))));
   if (n <= 4 * s || m >= s / 2) {
     // Too small (or k too large relative to n) for sampling to pay off.
-    MPTOPK_ASSIGN_OR_RETURN(auto r, BitonicTopKDevice(dev, data, n, k));
-    return finish(std::move(r));
+    return BitonicTopKDevice(dev, data, n, k);
   }
 
   // 1+2: sample and find the pivot key.
@@ -209,13 +200,11 @@ StatusOr<TopKResult<E>> HybridTopKDevice(const simt::ExecCtx& dev,
   if (c < k || c >= cap) {
     // Unlucky sample (too few candidates) or non-discriminating pivot
     // (ties / adversarial data overflowing the cap): robust fallback.
-    MPTOPK_ASSIGN_OR_RETURN(auto r, BitonicTopKDevice(dev, data, n, k));
-    return finish(std::move(r));
+    return BitonicTopKDevice(dev, data, n, k);
   }
 
   // 4: finish on the candidates.
-  MPTOPK_ASSIGN_OR_RETURN(auto r, BitonicTopKDevice(dev, cand, c, k));
-  return finish(std::move(r));
+  return BitonicTopKDevice(dev, cand, c, k);
 }
 
 #define MPTOPK_INSTANTIATE_HYBRID(E)                    \

@@ -1,7 +1,6 @@
 // Small device-side helpers shared by the top-k kernels: buffer fill and
-// copy-out, block-level exclusive prefix sum, the selection algorithms'
-// two-way tile compaction, and a tracking wrapper that measures the
-// simulated time consumed by a sequence of launches.
+// copy-out, block-level exclusive prefix sum and the selection algorithms'
+// two-way tile compaction.
 #ifndef MPTOPK_GPUTOPK_KERNEL_UTIL_H_
 #define MPTOPK_GPUTOPK_KERNEL_UTIL_H_
 
@@ -100,27 +99,6 @@ inline void BlockExclusiveScan(simt::Block& blk,
   blk.Sync();
   if (total_out != nullptr) *total_out = total;
 }
-
-/// RAII-style tracker: captures the device's simulated-time and launch
-/// counters so an algorithm can report exactly what it consumed.
-class DeviceTimeTracker {
- public:
-  explicit DeviceTimeTracker(simt::Device& dev)
-      : dev_(dev), start_ms_(dev.total_sim_ms()),
-        start_launches_(dev.kernel_log().size()) {}
-  explicit DeviceTimeTracker(const simt::ExecCtx& ctx)
-      : DeviceTimeTracker(ctx.device()) {}
-
-  double ElapsedMs() const { return dev_.total_sim_ms() - start_ms_; }
-  int Launches() const {
-    return static_cast<int>(dev_.kernel_log().size() - start_launches_);
-  }
-
- private:
-  simt::Device& dev_;
-  double start_ms_;
-  size_t start_launches_;
-};
 
 /// Copies src[0, count) into result[emitted, emitted + count) with a
 /// grid-stride kernel named `name`: the selection algorithms' final step.

@@ -4,7 +4,6 @@
 #include <algorithm>
 
 #include "common/bits.h"
-#include "gputopk/kernel_util.h"
 
 namespace mptopk::gpu {
 namespace {
@@ -283,7 +282,6 @@ StatusOr<TopKResult<E>> PerThreadTopKDevice(const simt::ExecCtx& dev,
 
   const int max_threads = spec.num_sms * spec.max_threads_per_sm;
 
-  DeviceTimeTracker tracker(dev);
   MPTOPK_ASSIGN_OR_RETURN(auto out_k, dev.Alloc<E>(k));
   GlobalSpan<E> out(out_k);
 
@@ -322,8 +320,6 @@ StatusOr<TopKResult<E>> PerThreadTopKDevice(const simt::ExecCtx& dev,
   TopKResult<E> result;
   result.items.resize(k);
   MPTOPK_RETURN_NOT_OK(dev.CopyToHost(result.items.data(), out_k, k));
-  result.kernel_ms = tracker.ElapsedMs();
-  result.kernels_launched = tracker.Launches();
   return result;
 }
 

@@ -122,7 +122,6 @@ StatusOr<TopKResult<E>> RadixSelectTopKDevice(const simt::ExecCtx& dev,
   if (k == 0 || k > n) {
     return Status::InvalidArgument("require 1 <= k <= n");
   }
-  DeviceTimeTracker tracker(dev);
   MPTOPK_ASSIGN_OR_RETURN(auto result_buf, dev.Alloc<E>(k));
   MPTOPK_ASSIGN_OR_RETURN(auto cand_a, dev.Alloc<E>(n));
   MPTOPK_ASSIGN_OR_RETURN(auto cand_b, dev.Alloc<E>(n));
@@ -198,8 +197,6 @@ StatusOr<TopKResult<E>> RadixSelectTopKDevice(const simt::ExecCtx& dev,
   // the host (k is tiny). The paper's variant likewise leaves ordering to
   // the consumer.
   SortDescending(&result_out.items);
-  result_out.kernel_ms = tracker.ElapsedMs();
-  result_out.kernels_launched = tracker.Launches();
   return result_out;
 }
 

@@ -270,7 +270,6 @@ StatusOr<TopKResult<E>> SortTopKDevice(const simt::ExecCtx& dev,
   if (k == 0 || k > n) {
     return Status::InvalidArgument("require 1 <= k <= n");
   }
-  DeviceTimeTracker tracker(dev);
   MPTOPK_ASSIGN_OR_RETURN(auto sorted, dev.Alloc<E>(n));
   MPTOPK_RETURN_NOT_OK(RadixSortDevice(dev, data, n, &sorted));
   // The array is ascending; emit the last k reversed (descending).
@@ -290,8 +289,6 @@ StatusOr<TopKResult<E>> SortTopKDevice(const simt::ExecCtx& dev,
   TopKResult<E> result;
   result.items.resize(k);
   MPTOPK_RETURN_NOT_OK(dev.CopyToHost(result.items.data(), out_k, k));
-  result.kernel_ms = tracker.ElapsedMs();
-  result.kernels_launched = tracker.Launches();
   return result;
 }
 

@@ -11,18 +11,11 @@ namespace mptopk::gpu {
 
 /// Output of a top-k computation: the k greatest elements in descending
 /// order of primary key (ties broken arbitrarily, like SQL ORDER BY ...
-/// LIMIT K), plus the simulated device time spent.
+/// LIMIT K). Time is not carried here: a caller reads it off the device
+/// around the call (simt/device.h).
 template <typename E>
 struct TopKResult {
   std::vector<E> items;
-  /// Simulated kernel milliseconds consumed by this call (excludes PCIe
-  /// staging of the input, matching the paper's measurement methodology).
-  double kernel_ms = 0.0;
-  /// Number of kernel launches performed.
-  int kernels_launched = 0;
-  /// Host wall-clock milliseconds, populated by CPU-backend operators in
-  /// the unified registry (topk/registry.h); 0 for simulated GPU runs.
-  double host_ms = 0.0;
 };
 
 /// Sorts a small result vector descending by the element ordering (used to

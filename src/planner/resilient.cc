@@ -278,7 +278,6 @@ StatusOr<ResilientResult<E>> ResilientTopKDevice(
         "ResilientTopKDevice: n exceeds device buffer size");
   }
   ResilientResult<E> out;
-  const double t_begin = DeviceClockMs(dev);
 
   Status st = RunGpuStages(dev, data, n, k, &out.report, &out.items);
   if (!st.ok()) {
@@ -297,7 +296,6 @@ StatusOr<ResilientResult<E>> ResilientTopKDevice(
   if (!st.ok()) {
     return st.WithContext("ResilientTopKDevice: all stages failed");
   }
-  out.report.total_device_ms = DeviceClockMs(dev) - t_begin;
   return out;
 }
 
@@ -308,7 +306,6 @@ StatusOr<ResilientResult<E>> ResilientTopK(const simt::ExecCtx& dev, const E* da
     return Status::InvalidArgument("ResilientTopK: require 1 <= k <= n");
   }
   ResilientResult<E> out;
-  const double t_begin = DeviceClockMs(dev);
   bool done = false;
 
   const size_t bytes = n * sizeof(E);
@@ -363,7 +360,6 @@ StatusOr<ResilientResult<E>> ResilientTopK(const simt::ExecCtx& dev, const E* da
     Status st = RunCpuStage(dev, data, n, k, &out.report, &out.items);
     if (!st.ok()) return st.WithContext("ResilientTopK: all stages failed");
   }
-  out.report.total_device_ms = DeviceClockMs(dev) - t_begin;
   return out;
 }
 

@@ -21,7 +21,9 @@
 // left out — and is re-executed once if the check fails (corrupted
 // readback). The call returns the items plus an ExecutionReport describing
 // exactly what happened; given the same fault-plan seed the decisions and
-// reported latency are bit-for-bit deterministic. See docs/robustness.md.
+// reported latency are bit-for-bit deterministic. The whole call's device
+// time is read off the device around it (simt/device.h). See
+// docs/robustness.md.
 #ifndef MPTOPK_PLANNER_RESILIENT_H_
 #define MPTOPK_PLANNER_RESILIENT_H_
 
@@ -54,10 +56,6 @@ struct ExecutionReport {
   bool used_cpu = false;
   std::string final_algorithm;  ///< stage that produced the returned result
   double backoff_ms = 0.0;      ///< total simulated backoff added
-  /// Simulated device milliseconds (kernels + PCIe + backoff) consumed by
-  /// the whole call. CPU-fallback wall time is intentionally excluded so the
-  /// number stays deterministic.
-  double total_device_ms = 0.0;
   /// Simulated device time consumed by failed attempts plus retry backoff —
   /// the latency added by faults. Exactly 0.0 on a fault-free run.
   double added_latency_ms = 0.0;

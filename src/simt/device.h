@@ -114,7 +114,6 @@ class Device {
     }
     uint64_t addr = AcquireBlock(RoundBlock(bytes));
     allocated_bytes_ += bytes;
-    lifetime_alloc_bytes_ += bytes;
     if (allocated_bytes_ > peak_allocated_bytes_) {
       peak_allocated_bytes_ = allocated_bytes_;
     }
@@ -329,8 +328,6 @@ class Device {
     return streams_.back().get();
   }
   Stream& default_stream() { return default_stream_; }
-  /// Number of streams including the default stream.
-  int stream_count() const { return static_cast<int>(streams_.size()) + 1; }
 
   /// Wall-clock of the overlapped schedule: the furthest point any stream's
   /// clock has reached (compare with total_sim_ms(), the busy sum).
@@ -361,10 +358,9 @@ class Device {
   /// raise set_trace_sample_target for coverage.
   void set_racecheck(bool on) { racecheck_ = on; }
   bool racecheck() const { return racecheck_; }
-  /// Hazards accumulated across every checked launch since construction /
-  /// ClearRaceReport (per-launch reports are on KernelStats::race).
+  /// Hazards accumulated across every checked launch since construction
+  /// (per-launch reports are on KernelStats::race).
   const RaceReport& race_report() const { return race_report_; }
-  void ClearRaceReport() { race_report_ = RaceReport{}; }
 
   /// Installs (or clears, with nullptr) a deterministic fault plan consulted
   /// by Alloc / CopyToDevice / CopyToHost / Launch. The device shares
@@ -372,7 +368,6 @@ class Device {
   void set_fault_plan(std::shared_ptr<FaultPlan> plan) {
     fault_plan_ = std::move(plan);
   }
-  FaultPlan* fault_plan() const { return fault_plan_.get(); }
 
   /// Charges extra simulated latency (e.g. the resilient executor's retry
   /// backoff) to the given stream so end-to-end simulated time reflects it.
@@ -396,8 +391,6 @@ class Device {
   size_t allocated_bytes() const { return allocated_bytes_; }
   /// High-water mark of allocated_bytes() since construction.
   size_t peak_allocated_bytes() const { return peak_allocated_bytes_; }
-  /// Cumulative requested bytes over all allocations (never decremented).
-  size_t lifetime_alloc_bytes() const { return lifetime_alloc_bytes_; }
   /// Extent of the bump pointer: address space ever carved out. Under
   /// pooling this plateaus once the pool serves steady-state demand.
   size_t footprint_bytes() const {
@@ -478,7 +471,6 @@ class Device {
   bool pooling_enabled_ = true;
   size_t allocated_bytes_ = 0;
   size_t peak_allocated_bytes_ = 0;
-  size_t lifetime_alloc_bytes_ = 0;
   size_t pooled_free_bytes_ = 0;
   uint64_t pool_reuse_count_ = 0;
   uint64_t next_addr_ = kBaseAddr;
@@ -499,6 +491,34 @@ class Device {
   double pcie_ms_ = 0;
   KernelMetrics total_metrics_;
   std::vector<KernelStats> kernel_log_;
+};
+
+/// The one way to measure simulated time: captures the device's clocks at
+/// construction, and reports what a call (or a sequence of calls) between
+/// construction and the read consumed. Results carry answers; a caller that
+/// wants to know how long something took measures around it with this.
+class DeviceTimeTracker {
+ public:
+  explicit DeviceTimeTracker(const Device& dev)
+      : dev_(dev),
+        start_ms_(dev.total_sim_ms()),
+        start_pcie_ms_(dev.pcie_ms()),
+        start_launches_(dev.kernel_log().size()) {}
+
+  /// Busy-sum delta: kernel time plus charged simulated delay (backoff).
+  double ElapsedMs() const { return dev_.total_sim_ms() - start_ms_; }
+  /// PCIe staging delta.
+  double PcieMs() const { return dev_.pcie_ms() - start_pcie_ms_; }
+  /// Kernel launches since construction (entries appended to kernel_log()).
+  int Launches() const {
+    return static_cast<int>(dev_.kernel_log().size() - start_launches_);
+  }
+
+ private:
+  const Device& dev_;
+  double start_ms_;
+  double start_pcie_ms_;
+  size_t start_launches_;
 };
 
 // --- DeviceBuffer inline implementation -------------------------------------

@@ -77,11 +77,7 @@ class ExecCtx {
 
   double total_sim_ms() const { return dev_->total_sim_ms(); }
   double pcie_ms() const { return dev_->pcie_ms(); }
-  const std::vector<KernelStats>& kernel_log() const {
-    return dev_->kernel_log();
-  }
   size_t allocated_bytes() const { return dev_->allocated_bytes(); }
-  FaultPlan* fault_plan() const { return dev_->fault_plan(); }
 
   /// Barrier-epoch race checker state (device-wide; see simt/racecheck.h).
   bool racecheck() const { return dev_->racecheck(); }

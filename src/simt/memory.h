@@ -118,23 +118,6 @@ class GlobalSpan {
     return old;
   }
 
-  T AtomicMax(Thread& t, size_t i, T v) const {
-    assert(i < size_);
-    Record(t, i);
-    if (t.order != nullptr) {
-      t.order->AwaitTurn(t.block_idx);
-      std::atomic_ref<T> a(data_[i]);
-      T old = a.load(std::memory_order_relaxed);
-      while (v > old &&
-             !a.compare_exchange_weak(old, v, std::memory_order_relaxed)) {
-      }
-      return old;
-    }
-    T old = data_[i];
-    if (v > old) data_[i] = v;
-    return old;
-  }
-
   /// Atomic compare-and-swap; returns the old value (equal to `expected` on
   /// success). Turnstiled under a parallel launch like AtomicAdd.
   T AtomicCas(Thread& t, size_t i, T expected, T desired) const {
@@ -149,23 +132,6 @@ class GlobalSpan {
     }
     T old = data_[i];
     if (old == expected) data_[i] = desired;
-    return old;
-  }
-
-  T AtomicMin(Thread& t, size_t i, T v) const {
-    assert(i < size_);
-    Record(t, i);
-    if (t.order != nullptr) {
-      t.order->AwaitTurn(t.block_idx);
-      std::atomic_ref<T> a(data_[i]);
-      T old = a.load(std::memory_order_relaxed);
-      while (v < old &&
-             !a.compare_exchange_weak(old, v, std::memory_order_relaxed)) {
-      }
-      return old;
-    }
-    T old = data_[i];
-    if (v < old) data_[i] = v;
     return old;
   }
 

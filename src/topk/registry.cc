@@ -287,8 +287,8 @@ std::unique_ptr<TopKOperator> Host(const char* name, OperatorCaps caps,
                                                        std::move(run));
 }
 
-// A CPU baseline: wall-clock goes to TopKResult::host_ms (kernel_ms stays 0
-// — no simulated device time). Host execution has no transient faults.
+// A CPU baseline: no simulated device time; callers time it on the host
+// clock. Host execution has no transient faults.
 std::unique_ptr<TopKOperator> Cpu(const char* name, cpu::CpuAlgorithm algo,
                                   int fallback_rank, bool pow2_only,
                                   size_t max_k) {
@@ -301,10 +301,7 @@ std::unique_ptr<TopKOperator> Cpu(const char* name, cpu::CpuAlgorithm algo,
       [algo]<typename E>(const simt::ExecCtx&, const E* data, size_t n,
                          size_t k) -> StatusOr<gpu::TopKResult<E>> {
         MPTOPK_ASSIGN_OR_RETURN(auto c, cpu::CpuTopK(data, n, k, algo));
-        gpu::TopKResult<E> r;
-        r.items = std::move(c.items);
-        r.host_ms = c.wall_ms;
-        return r;
+        return gpu::TopKResult<E>{std::move(c.items)};
       });
 }
 
@@ -366,10 +363,7 @@ OperatorRegistrar r_chunked(
         []<typename E>(const simt::ExecCtx& dev, const E* data, size_t n,
                        size_t k) -> StatusOr<gpu::TopKResult<E>> {
           MPTOPK_ASSIGN_OR_RETURN(auto c, gpu::ChunkedTopK(dev, data, n, k));
-          gpu::TopKResult<E> r;
-          r.items = std::move(c.items);
-          r.kernel_ms = c.kernel_ms;
-          return r;
+          return gpu::TopKResult<E>{std::move(c.items)};
         }),
     70, {"chunked"});
 OperatorRegistrar r_cpu_stl(Cpu("cpu:StlPq", cpu::CpuAlgorithm::kStlPq,

@@ -94,8 +94,8 @@ TEST(CostVsSimulatorTest, BitonicTracksMeasured) {
     double predicted = cost::BitonicTopKCostMs(Spec(), FloatWorkload(n, k));
     // Paper: the model under-predicts but tracks trends; require within 2x
     // and correct ordering.
-    EXPECT_LT(predicted, r->kernel_ms * 2.0) << "k=" << k;
-    EXPECT_GT(predicted, r->kernel_ms * 0.4) << "k=" << k;
+    EXPECT_LT(predicted, dev.total_sim_ms() * 2.0) << "k=" << k;
+    EXPECT_GT(predicted, dev.total_sim_ms() * 0.4) << "k=" << k;
   }
 }
 
@@ -109,8 +109,8 @@ TEST(CostVsSimulatorTest, RadixSelectTracksMeasured) {
   ASSERT_TRUE(r.ok());
   double predicted =
       cost::RadixSelectCostMs(Spec(), FloatWorkload(n, 64));
-  EXPECT_LT(predicted, r->kernel_ms * 2.0);
-  EXPECT_GT(predicted, r->kernel_ms * 0.4);
+  EXPECT_LT(predicted, dev.total_sim_ms() * 2.0);
+  EXPECT_GT(predicted, dev.total_sim_ms() * 0.4);
 }
 
 // --- Planner -------------------------------------------------------------------
@@ -207,8 +207,8 @@ TEST(PlannerExtensionTest, HybridModelTracksSimulator) {
   ASSERT_TRUE(r.ok());
   double predicted =
       cost::HybridCostMs(Spec(), {n, 32, 4, 4, Distribution::kUniform});
-  EXPECT_LT(predicted, r->kernel_ms * 2.0);
-  EXPECT_GT(predicted, r->kernel_ms * 0.4);
+  EXPECT_LT(predicted, dev.total_sim_ms() * 2.0);
+  EXPECT_GT(predicted, dev.total_sim_ms() * 0.4);
 }
 
 }  // namespace

@@ -101,11 +101,10 @@ TEST(CpuTopKTest, DoubleKeys) {
   EXPECT_EQ(r->items, Reference(data, 64));
 }
 
-TEST(CpuTopKTest, ReportsTiming) {
+TEST(CpuTopKTest, HonorsSingleThreadRequest) {
   auto data = GenerateFloats(1 << 16, Distribution::kUniform);
   auto r = CpuTopK(data.data(), data.size(), 32, CpuAlgorithm::kHandPq, 1);
   ASSERT_TRUE(r.ok());
-  EXPECT_GT(r->wall_ms, 0.0);
   EXPECT_EQ(r->threads_used, 1);
 }
 

@@ -40,8 +40,8 @@ TEST(DevicePortabilityTest, FasterDeviceIsFaster) {
   ASSERT_TRUE(rp.ok());
   EXPECT_EQ(rm->items, rp->items) << "results must be device-independent";
   // ~3x the bandwidths should land in the 2x-4x speedup range.
-  EXPECT_LT(rp->kernel_ms * 2.0, rm->kernel_ms);
-  EXPECT_GT(rp->kernel_ms * 5.0, rm->kernel_ms);
+  EXPECT_LT(pascal.total_sim_ms() * 2.0, maxwell.total_sim_ms());
+  EXPECT_GT(pascal.total_sim_ms() * 5.0, maxwell.total_sim_ms());
 }
 
 TEST(DevicePortabilityTest, CostModelAndPlannerTransfer) {

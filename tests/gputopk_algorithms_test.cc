@@ -19,10 +19,12 @@ namespace {
 template <typename E>
 double KernelMs(const char* name, simt::Device& dev,
                 const std::vector<E>& data, size_t k) {
-  return topk::FindOperator(name)
-      .value()
-      ->TopKHost(dev, data.data(), data.size(), k)
-      ->kernel_ms;
+  const simt::DeviceTimeTracker clock(dev);
+  EXPECT_TRUE(topk::FindOperator(name)
+                  .value()
+                  ->TopKHost(dev, data.data(), data.size(), k)
+                  .ok());
+  return clock.ElapsedMs();
 }
 
 template <typename E>
@@ -193,7 +195,7 @@ TEST(AlgoShapeTest, SortIsFlatInK) {
 TEST(AlgoShapeTest, BitonicBeatsSortAtSmallK) {
   auto data = GenerateFloats(1 << 20, Distribution::kUniform);
   simt::Device d1, d2;
-  double bitonic = BitonicTopK(d1, data.data(), data.size(), 32)->kernel_ms;
+  double bitonic = KernelMs("BitonicTopK", d1, data, 32);
   double sort = KernelMs("Sort", d2, data, 32);
   EXPECT_LT(bitonic * 4, sort) << "paper reports up to 15x";
 }
@@ -219,7 +221,7 @@ TEST(AlgoShapeTest, BucketKillerDegradesRadixSelectToSortCost) {
   double t_uniform = KernelMs("RadixSelect", d2, uniform, 32);
   EXPECT_GT(t_killer, t_uniform * 1.5);
   // And bitonic is unaffected (data-oblivious).
-  double t_bitonic = BitonicTopK(d3, killer.data(), n, 32)->kernel_ms;
+  double t_bitonic = KernelMs("BitonicTopK", d3, killer, 32);
   EXPECT_LT(t_bitonic, t_killer);
 }
 
@@ -236,8 +238,8 @@ TEST(AlgoShapeTest, PerThreadOccupancyCliffAtLargeK) {
   const size_t n = 1 << 20;
   auto data = GenerateFloats(n, Distribution::kUniform);
   simt::Device d1, d2;
-  double t16 = PerThreadTopK(d1, data.data(), n, 16)->kernel_ms;
-  double t256 = PerThreadTopK(d2, data.data(), n, 256)->kernel_ms;
+  double t16 = KernelMs("PerThreadTopK", d1, data, 16);
+  double t256 = KernelMs("PerThreadTopK", d2, data, 256);
   EXPECT_GT(t256, t16 * 2) << "shared-memory occupancy loss (paper Fig 11a)";
 }
 

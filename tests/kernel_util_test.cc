@@ -1,11 +1,17 @@
 // Unit tests for the shared device-side building blocks: FillDevice,
-// BlockExclusiveScan (property-tested across sizes), and TwoWayCompactTile.
+// BlockExclusiveScan (property-tested across sizes), TwoWayCompactTile, and
+// the one clock (simt::DeviceTimeTracker) that every reported time is read
+// from.
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <random>
 
+#include "common/distributions.h"
+#include "engine/query.h"
+#include "engine/tweets.h"
 #include "gputopk/kernel_util.h"
+#include "topk/registry.h"
 
 namespace mptopk::gpu {
 namespace {
@@ -178,6 +184,110 @@ TEST(TracerDeterminismTest, SampledTimingIsStable) {
     return stats->time.total_ms;
   };
   EXPECT_DOUBLE_EQ(run(), run());
+}
+
+// --- The one clock -----------------------------------------------------------
+
+template <typename E>
+std::vector<E> ClockData(size_t n) {
+  auto keys = GenerateFloats(n, Distribution::kUniform, 99);
+  std::vector<E> data(n);
+  for (size_t i = 0; i < n; ++i) {
+    if constexpr (std::is_same_v<E, KV>) {
+      data[i] = KV{keys[i], static_cast<uint32_t>(i)};
+    } else {
+      data[i] = keys[i];
+    }
+  }
+  return data;
+}
+
+// Every operator call is explained by the kernel log: the kernels it
+// appended, added in launch order onto the tracker's start value, give the
+// device's end value exactly.
+template <typename E>
+void ExpectClockExplainsCall(const topk::TopKOperator& op) {
+  const size_t n = 1 << 14, k = 32;
+  const auto data = ClockData<E>(n);
+  Device dev;
+  auto buf = dev.Alloc<E>(n).value();
+  ASSERT_TRUE(dev.CopyToDevice(buf, data.data(), n).ok());
+  // Earlier work, so the tracker starts from a non-zero clock.
+  auto scratch = dev.Alloc<uint32_t>(4096).value();
+  ASSERT_TRUE(FillDevice<uint32_t>(dev, scratch, 0, 4096, 0u).ok());
+
+  const size_t first = dev.kernel_log().size();
+  const simt::DeviceTimeTracker clock(dev);
+  double clock_ms = dev.total_sim_ms();
+  ASSERT_TRUE(op.TopKDevice(dev, buf, n, k).ok());
+  for (size_t i = first; i < dev.kernel_log().size(); ++i) {
+    clock_ms += dev.kernel_log()[i].time.total_ms;
+  }
+  EXPECT_EQ(clock_ms, dev.total_sim_ms()) << op.name();  // exact, not near
+  EXPECT_EQ(static_cast<size_t>(clock.Launches()),
+            dev.kernel_log().size() - first)
+      << op.name();
+  EXPECT_GT(clock.ElapsedMs(), 0.0) << op.name();
+  EXPECT_GT(clock.PcieMs(), 0.0) << op.name();  // the k-item readback
+}
+
+// Bottom-k is top-k over negated keys: the call launches exactly the kernels
+// top-k launches on host-negated data, after one extra negate_keys pass.
+template <typename E>
+void ExpectBottomKAddsNegatePass(const topk::TopKOperator& op) {
+  const size_t n = 1 << 14, k = 32;
+  const auto data = ClockData<E>(n);
+  std::vector<E> negated(data);
+  for (E& e : negated) e = ElementTraits<E>::Negated(e);
+
+  Device top_dev, bottom_dev;
+  auto top_buf = top_dev.Alloc<E>(n).value();
+  auto bottom_buf = bottom_dev.Alloc<E>(n).value();
+  ASSERT_TRUE(top_dev.CopyToDevice(top_buf, negated.data(), n).ok());
+  ASSERT_TRUE(bottom_dev.CopyToDevice(bottom_buf, data.data(), n).ok());
+  const simt::DeviceTimeTracker top_clock(top_dev);
+  const simt::DeviceTimeTracker bottom_clock(bottom_dev);
+  ASSERT_TRUE(op.TopKDevice(top_dev, top_buf, n, k).ok());
+  ASSERT_TRUE(op.BottomKDevice(bottom_dev, bottom_buf, n, k).ok());
+
+  ASSERT_EQ(bottom_clock.Launches(), top_clock.Launches() + 1) << op.name();
+  const auto& top_log = top_dev.kernel_log();
+  const auto& bottom_log = bottom_dev.kernel_log();
+  EXPECT_EQ(bottom_log[0].name, "negate_keys") << op.name();
+  for (size_t i = 0; i < top_log.size(); ++i) {
+    EXPECT_EQ(bottom_log[i + 1].name, top_log[i].name) << op.name() << " " << i;
+  }
+  EXPECT_GT(bottom_clock.ElapsedMs(), top_clock.ElapsedMs()) << op.name();
+}
+
+TEST(DeviceClockTest, KernelLogExplainsEveryOperatorCall) {
+  for (const topk::TopKOperator* op : topk::GpuSweepOperators(true)) {
+    ExpectClockExplainsCall<float>(*op);
+    ExpectClockExplainsCall<KV>(*op);
+  }
+}
+
+TEST(DeviceClockTest, BottomKAddsOneNegatePass) {
+  for (const topk::TopKOperator* op : topk::GpuSweepOperators(true)) {
+    ExpectBottomKAddsNegatePass<float>(*op);
+    ExpectBottomKAddsNegatePass<KV>(*op);
+  }
+}
+
+// Paper Q4's phase split adds up to the time measured around the query.
+TEST(DeviceClockTest, GroupByPhasesAddUpToTheQuery) {
+  Device dev;
+  auto table = std::move(engine::MakeTweetsTable(&dev, 1 << 14, 5).value());
+  for (auto strategy :
+       {engine::GroupByStrategy::kSort, engine::GroupByStrategy::kBitonic}) {
+    const simt::DeviceTimeTracker clock(dev);
+    auto r = engine::GroupByCountTopKQuery(*table, "uid", 50, strategy);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_GT(r->groupby_ms, 0.0);
+    EXPECT_GT(r->topk_ms, 0.0);
+    EXPECT_NEAR(r->groupby_ms + r->topk_ms, clock.ElapsedMs(),
+                1e-12 * clock.ElapsedMs());
+  }
 }
 
 }  // namespace
