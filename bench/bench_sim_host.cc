@@ -6,7 +6,9 @@
 // those numbers cost. Speedup saturates at the machine's physical core
 // count — host_cores in the output records what this run had available.
 //
-//   bench_sim_host --json_out=BENCH_sim_host.json > results/host_throughput.txt
+// Regenerate the checked-in ledger (n = 2^18) with one command:
+//   bench_sim_host --n_log2=18 --json_out=BENCH_sim_host.json
+//       > results/host_throughput.txt
 #include <chrono>
 #include <cstdio>
 #include <thread>

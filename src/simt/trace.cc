@@ -8,6 +8,35 @@
 namespace mptopk::simt {
 namespace {
 
+constexpr uint32_t kAllLanes = ~uint32_t{0};
+
+// Calls f(lane) for each lane set in `mask`, as a plain counted loop when
+// all are set so that the compiler can vectorize it.
+template <typename F>
+void ForEachLane(uint32_t mask, F f) {
+  if (mask == kAllLanes) {
+    for (int lane = 0; lane < BlockTracer::kWarpSize; ++lane) f(lane);
+  } else {
+    for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
+      f(std::countr_zero(bits));
+    }
+  }
+}
+
+// True when lane l of the 32 (all active) accesses addr[0] + l * *stride
+// with one size. Branch-free so that the compiler vectorizes both checks.
+bool IsAffine(const uint64_t* addr, const uint8_t* size, uint64_t* stride) {
+  const uint64_t s = addr[1] - addr[0];
+  uint64_t addr_diff = 0;
+  uint8_t size_diff = 0;
+  for (int lane = 1; lane < BlockTracer::kWarpSize; ++lane) {
+    addr_diff |= (addr[lane] - addr[lane - 1]) ^ s;
+    size_diff |= size[lane] ^ size[0];
+  }
+  *stride = s;
+  return (addr_diff | size_diff) == 0;
+}
+
 bool IsPow2(int v) {
   return v > 0 && std::has_single_bit(static_cast<unsigned>(v));
 }
@@ -76,6 +105,103 @@ void BlockTracer::SlotTable::Grow(uint32_t rows) {
   cap = fresh;
 }
 
+template <typename Exact>
+int BlockTracer::RowCost(ShapeTable* table, uint64_t granule, uint32_t mask,
+                         const uint64_t* addr, const uint8_t* size,
+                         uint64_t* useful, Exact exact) {
+  uint64_t stride;
+  if (mask != kAllLanes || !IsAffine(addr, size, &stride)) {
+    *useful = 0;
+    ForEachLane(mask, [&](int lane) { *useful += size[lane]; });
+    return exact();
+  }
+  *useful = uint64_t{kWarpSize} * size[0];
+  const uint32_t offset = static_cast<uint32_t>(addr[0] & (granule - 1));
+  const uint64_t key =
+      stride ^ (uint64_t{offset} << 40) ^ (uint64_t{size[0]} << 58);
+  constexpr int kIndexBits = std::countr_zero(unsigned{kShapeTableEntries});
+  ShapeEntry& e = (*table)[(key * 0x9E3779B97F4A7C15ull) >> (64 - kIndexBits)];
+  if (e.size != size[0] || e.stride != stride || e.offset != offset) {
+    e = ShapeEntry{stride, offset, size[0], exact()};
+  }
+  return e.cost;
+}
+
+int BlockTracer::CountSectors(uint32_t mask, const uint64_t* addr,
+                              const uint8_t* size) const {
+  uint64_t lowest = ~uint64_t{0};
+  uint64_t highest = 0;
+  ForEachLane(mask, [&](int lane) {
+    lowest = std::min(lowest, addr[lane]);
+    highest = std::max(highest, addr[lane] + size[lane] - 1);
+  });
+  const uint64_t base = lowest >> sector_shift_;
+  if ((highest >> sector_shift_) - base >= 64) {
+    return MaxKeysPerBank(mask, addr, size, sector_shift_, 0);
+  }
+  // All sectors lie within 64 of the lowest: mark them in a bitmap. A lane
+  // touches at most two sectors (accesses are at most sector_bytes wide),
+  // its first and its last.
+  uint64_t touched = 0;
+  ForEachLane(mask, [&](int lane) {
+    touched |= uint64_t{1} << ((addr[lane] >> sector_shift_) - base);
+    touched |= uint64_t{1}
+               << (((addr[lane] + size[lane] - 1) >> sector_shift_) - base);
+  });
+  return std::popcount(touched);
+}
+
+int BlockTracer::MaxWordsPerBank(uint32_t mask, const uint64_t* addr,
+                                 const uint8_t* size) const {
+  // Fast path: every lane touches one word, each on its own bank (the
+  // conflict-free layouts), so no bank holds more than one word.
+  bool one_word_each = true;
+  uint32_t banks_hit = 0;
+  uint32_t banks_hit_twice = 0;
+  ForEachLane(mask, [&](int lane) {
+    const uint64_t first = addr[lane] >> word_shift_;
+    one_word_each &= first == (addr[lane] + size[lane] - 1) >> word_shift_;
+    const uint32_t bank = 1u << (first & bank_mask_);
+    banks_hit_twice |= banks_hit & bank;
+    banks_hit |= bank;
+  });
+  if (one_word_each && banks_hit_twice == 0) return 1;
+  return MaxKeysPerBank(mask, addr, size, word_shift_, bank_mask_);
+}
+
+int BlockTracer::MaxKeysPerBank(uint32_t mask, const uint64_t* addr,
+                                const uint8_t* size, int key_shift,
+                                uint64_t key_bank_mask) const {
+  // Each key is inserted into the set once; the first insertion counts it
+  // on its bank. The probe usually stops at its first slot, and the
+  // fresh/duplicate outcome is added rather than branched on.
+  if (++keys_.generation == 0) {
+    keys_.tag.fill(0);
+    keys_.generation = 1;
+  }
+  const uint32_t gen = keys_.generation;
+  constexpr int kSlotBits = std::countr_zero(unsigned{kKeySlots});
+  uint16_t count[kMaxBanks] = {};
+  int max_keys = 0;
+  ForEachLane(mask, [&](int lane) {
+    const uint64_t first = addr[lane] >> key_shift;
+    const uint64_t last = (addr[lane] + size[lane] - 1) >> key_shift;
+    for (uint64_t k = first; k <= last; ++k) {
+      size_t i = (k * 0x9E3779B97F4A7C15ull) >> (64 - kSlotBits);
+      while (keys_.tag[i] == gen && keys_.key[i] != k) {
+        i = (i + 1) & (kKeySlots - 1);
+      }
+      const bool fresh = keys_.tag[i] != gen;
+      keys_.tag[i] = gen;
+      keys_.key[i] = k;
+      const int bank = static_cast<int>(k & key_bank_mask);
+      count[bank] += fresh;
+      max_keys = std::max(max_keys, static_cast<int>(count[bank]));
+    }
+  });
+  return max_keys;
+}
+
 void BlockTracer::AnalyzeGlobal(const SlotTable& t, KernelMetrics* m) const {
   const uint64_t sector_bytes = spec_.sector_bytes;
   for (uint32_t row = 0; row < t.used; ++row) {
@@ -83,24 +209,10 @@ void BlockTracer::AnalyzeGlobal(const SlotTable& t, KernelMetrics* m) const {
     if (mask == 0) continue;
     const uint64_t* addr = &t.addr[size_t{row} * kWarpSize];
     const uint8_t* size = &t.size[size_t{row} * kWarpSize];
-    // Accesses are at most sector_bytes wide, so a lane touches at most two
-    // sectors and the list is exact.
-    uint64_t sectors[2 * kWarpSize];
-    int num_sectors = 0;
-    uint64_t useful = 0;
-    for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
-      const int lane = std::countr_zero(bits);
-      useful += size[lane];
-      const uint64_t first = addr[lane] >> sector_shift_;
-      const uint64_t last = (addr[lane] + size[lane] - 1) >> sector_shift_;
-      for (uint64_t s = first; s <= last; ++s) {
-        if (num_sectors > 0 && sectors[num_sectors - 1] == s) continue;
-        if (std::find(sectors, sectors + num_sectors, s) ==
-            sectors + num_sectors) {
-          sectors[num_sectors++] = s;
-        }
-      }
-    }
+    uint64_t useful;
+    const int num_sectors =
+        RowCost(&global_shapes_, sector_bytes, mask, addr, size, &useful,
+                [&] { return CountSectors(mask, addr, size); });
     m->warp_instructions += 1;
     m->divergent_lane_slots += kWarpSize - std::popcount(mask);
     m->global_transactions += num_sectors;
@@ -110,64 +222,19 @@ void BlockTracer::AnalyzeGlobal(const SlotTable& t, KernelMetrics* m) const {
 }
 
 void BlockTracer::AnalyzeShared(const SlotTable& t, KernelMetrics* m) const {
-  if (t.used == 0) return;
-  // Distinct words of one instruction, chained per bank (head/next index
-  // into word[]). A lane's access spans at most kMaxAccessBytes + 1 words.
-  constexpr int kMaxWords = kWarpSize * (kMaxAccessBytes + 1);
-  uint64_t word[kMaxWords];
-  int16_t next[kMaxWords];
-  int16_t head[kMaxBanks];
-  uint16_t count[kMaxBanks];
-  std::fill(std::begin(head), std::end(head), int16_t{-1});
-  std::fill(std::begin(count), std::end(count), uint16_t{0});
+  const uint64_t word_bytes = spec_.bank_width_bytes;
   const uint64_t row_bytes =
-      static_cast<uint64_t>(spec_.shared_mem_banks) * spec_.bank_width_bytes;
-
+      static_cast<uint64_t>(spec_.shared_mem_banks) * word_bytes;
   for (uint32_t row = 0; row < t.used; ++row) {
     const uint32_t mask = t.mask[row];
     if (mask == 0) continue;
     const uint64_t* addr = &t.addr[size_t{row} * kWarpSize];
     const uint8_t* size = &t.size[size_t{row} * kWarpSize];
-    // Fast path: every lane touches one word, each on its own bank (the
-    // conflict-free layouts), so no bank holds more than one word.
-    uint64_t useful = 0;
-    bool one_word_each = true;
-    uint32_t banks_hit = 0;
-    for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
-      const int lane = std::countr_zero(bits);
-      useful += size[lane];
-      const uint64_t first = addr[lane] >> word_shift_;
-      one_word_each &= first == (addr[lane] + size[lane] - 1) >> word_shift_;
-      banks_hit |= 1u << (first & bank_mask_);
-    }
-    int max_words = 1;  // most distinct words on one bank
-    if (!one_word_each || std::popcount(banks_hit) != std::popcount(mask)) {
-      max_words = 0;
-      int num_words = 0;
-      uint32_t touched = 0;
-      for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
-        const int lane = std::countr_zero(bits);
-        const uint64_t first = addr[lane] >> word_shift_;
-        const uint64_t last = (addr[lane] + size[lane] - 1) >> word_shift_;
-        for (uint64_t w = first; w <= last; ++w) {
-          const int bank = static_cast<int>(w & bank_mask_);
-          int i = head[bank];
-          while (i >= 0 && word[i] != w) i = next[i];
-          if (i >= 0) continue;
-          word[num_words] = w;
-          next[num_words] = head[bank];
-          head[bank] = static_cast<int16_t>(num_words++);
-          touched |= 1u << bank;
-          max_words = std::max(max_words, static_cast<int>(++count[bank]));
-        }
-      }
-      for (uint32_t bits = touched; bits != 0; bits &= bits - 1) {
-        const int bank = std::countr_zero(bits);
-        head[bank] = -1;
-        count[bank] = 0;
-      }
-    }
-
+    uint64_t useful;
+    // Most distinct words on one bank.
+    const int max_words =
+        RowCost(&shared_shapes_, word_bytes, mask, addr, size, &useful,
+                [&] { return MaxWordsPerBank(mask, addr, size); });
     m->warp_instructions += 1;
     m->divergent_lane_slots += kWarpSize - std::popcount(mask);
     m->shared_useful_bytes += useful;

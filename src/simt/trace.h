@@ -28,6 +28,14 @@
 // (base += used). Analyze() adds the pending metrics plus whatever slots the
 // last region left open.
 //
+// Most rows are affine: every lane active, one access size, lane l at
+// a0 + l * stride. Their cost depends only on (stride, size, a0 mod
+// granule) — shifting every address by one bank word rotates the banks,
+// shifting it by one sector renumbers the sectors — so each analyzer keeps
+// a small direct-mapped table of affine shapes per tracer and computes a
+// shape's cost once. Other rows are counted exactly: sectors in a 64-sector
+// bitmap, bank words in a generation-tagged open-addressing key set.
+//
 // Every access also carries the block's barrier epoch — the number of
 // Block::Sync() barriers executed before it. Epochs do not affect the
 // timing analysis; they exist for simt::RaceChecker, which flags
@@ -37,6 +45,7 @@
 #ifndef MPTOPK_SIMT_TRACE_H_
 #define MPTOPK_SIMT_TRACE_H_
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -57,6 +66,8 @@ class BlockTracer {
   static constexpr uint32_t kMaxAccessBytes = 16;
   /// Most shared-memory banks the analyzer's per-bank tables hold.
   static constexpr int kMaxBanks = 32;
+  /// Entries in each analyzer's table of affine shape costs.
+  static constexpr int kShapeTableEntries = 128;
 
   /// One retained access, the unit simt::RaceChecker sorts. `epoch` counts
   /// Block::Sync() barriers executed before the access; `atomic` marks
@@ -120,7 +131,8 @@ class BlockTracer {
   void EndRegion();
 
   /// Accumulates this block's metrics into *m: the pending metrics of
-  /// closed regions plus the slots still open.
+  /// closed regions plus the slots still open. Fills the shape tables, so
+  /// one tracer must not be analyzed from two threads at once.
   void Analyze(KernelMetrics* m) const;
 
   /// Every access in record order (empty unless retain_accesses).
@@ -169,6 +181,49 @@ class BlockTracer {
                   atomic};
   }
 
+  // Cost of one affine shape; size 0 marks an empty entry.
+  struct ShapeEntry {
+    uint64_t stride = 0;
+    uint32_t offset = 0;
+    uint8_t size = 0;
+    int32_t cost = 0;
+  };
+  using ShapeTable = std::array<ShapeEntry, kShapeTableEntries>;
+
+  // Distinct keys (sectors or bank words) of one instruction: open
+  // addressing over kKeySlots slots, where a slot is occupied only if its
+  // tag equals the current generation, so a new instruction clears nothing.
+  static constexpr int kKeySlots = 1024;
+  static_assert(kKeySlots > kWarpSize * (kMaxAccessBytes + 1),
+                "one instruction's words must fit the key set");
+  struct KeySet {
+    uint32_t generation = 0;
+    std::array<uint32_t, kKeySlots> tag{};
+    std::array<uint64_t, kKeySlots> key;
+  };
+
+  // The cost of one row and, in *useful, its bytes accessed. An affine row
+  // looks its shape (stride, size, addr[0] mod granule) up in `table`,
+  // which calls `exact()` and stores the result on a miss; any other row
+  // calls `exact()`.
+  template <typename Exact>
+  static int RowCost(ShapeTable* table, uint64_t granule, uint32_t mask,
+                     const uint64_t* addr, const uint8_t* size,
+                     uint64_t* useful, Exact exact);
+
+  // Distinct sectors touched by the lanes in `mask`.
+  int CountSectors(uint32_t mask, const uint64_t* addr,
+                   const uint8_t* size) const;
+  // Most distinct words mapped to one bank by the lanes in `mask`.
+  int MaxWordsPerBank(uint32_t mask, const uint64_t* addr,
+                      const uint8_t* size) const;
+  // Most distinct keys on one key bank among the lanes in `mask`: a lane's
+  // access covers keys addr >> key_shift through
+  // (addr + size - 1) >> key_shift, and key k is on bank k & key_bank_mask
+  // (< kMaxBanks). With key_bank_mask 0 this is the number of distinct keys.
+  int MaxKeysPerBank(uint32_t mask, const uint64_t* addr, const uint8_t* size,
+                     int key_shift, uint64_t key_bank_mask) const;
+
   void AnalyzeGlobal(const SlotTable& t, KernelMetrics* m) const;
   void AnalyzeShared(const SlotTable& t, KernelMetrics* m) const;
 
@@ -178,6 +233,11 @@ class BlockTracer {
   int sector_shift_;
   int word_shift_;
   uint64_t bank_mask_;
+  // Analysis state, filled by the const analyzers: costs are a pure
+  // function of the shape and the geometry fixed at construction.
+  mutable ShapeTable global_shapes_;
+  mutable ShapeTable shared_shapes_;
+  mutable KeySet keys_;
   // Indexed by warp.
   std::vector<SlotTable> global_;
   std::vector<SlotTable> shared_;

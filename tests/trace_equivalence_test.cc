@@ -7,6 +7,9 @@
 // KernelMetrics in every field, both when one tracer analyzes the whole
 // block at once and when a Block flushes it at every region boundary. The
 // race checker's retained access list must match the streams exactly.
+// Patterns that keep every lane active exercise the cached costs of affine
+// rows, including more shapes than the shape table holds and two
+// geometries analyzed side by side.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -196,12 +199,24 @@ struct Region {
 
 constexpr uint16_t kSizes[] = {1, 2, 4, 8, 16};
 
-std::vector<Region> MakePattern(std::mt19937_64& rng, int block_dim) {
+// Strides of the affine instructions. Negative ones and ones wider than 64
+// bank rows or many sectors appear only in all-lanes patterns, whose bases
+// leave room for them.
+constexpr int64_t kStrides[] = {0,  1,  2,  4,   8,  12,  32,  132,
+                                36, 16, -4, -8, -12, -36, 8196, -8196};
+constexpr int kRaggedStrides = 8;
+constexpr uint64_t kNegativeRoom = uint64_t{1} << 20;
+
+// `all_lanes` keeps every lane of every instruction (no ragged lanes, seq
+// gaps or ForEachThreadBelow regions), so most rows are affine.
+std::vector<Region> MakePattern(std::mt19937_64& rng, int block_dim,
+                                bool all_lanes = false) {
   auto pick = [&](uint64_t n) { return rng() % n; };
   std::vector<Region> regions(1 + pick(5));
   for (Region& r : regions) {
     r.threads = pick(3) == 0 ? 1 + static_cast<int>(pick(block_dim))
                              : block_dim;
+    if (all_lanes) r.threads = block_dim;
     r.sync_after = pick(2) == 0;
     r.ops.resize(block_dim);
     // Instruction templates shared by all lanes: op j of every lane is one
@@ -211,15 +226,16 @@ std::vector<Region> MakePattern(std::mt19937_64& rng, int block_dim) {
       const bool shared = pick(2) == 0;
       const uint16_t size = kSizes[pick(5)];
       const bool mixed_size = pick(4) == 0;
-      const uint64_t base = (shared ? 0 : 4096) + pick(256);
-      const uint64_t stride = std::array<uint64_t, 8>{0, 1, 2, 4, 8, 12, 32,
-                                                      132}[pick(8)];
+      const uint64_t base = (shared ? 0 : 4096) + pick(256) +
+                            (all_lanes ? kNegativeRoom : 0);
+      const uint64_t stride = static_cast<uint64_t>(
+          kStrides[pick(all_lanes ? std::size(kStrides) : kRaggedStrides)]);
       const bool write = pick(2) == 0;
       const int atomic_mode = static_cast<int>(pick(3));  // none/all/mixed
       const bool scatter = pick(5) == 0;
       for (int tid = 0; tid < r.threads; ++tid) {
         // Ragged lanes: some lanes run out of instructions early.
-        if (pick(10) == 0) continue;
+        if (!all_lanes && pick(10) == 0) continue;
         Op op;
         op.shared = shared;
         op.size = mixed_size ? kSizes[pick(5)] : size;
@@ -229,7 +245,9 @@ std::vector<Region> MakePattern(std::mt19937_64& rng, int block_dim) {
                         ? (atomic_mode == 1 || (atomic_mode == 2 && pick(2)))
                         : atomic_mode == 1;
         op.write = write || op.atomic;
-        op.skip = pick(12) == 0 ? 1 + static_cast<uint32_t>(pick(3)) : 0;
+        op.skip = !all_lanes && pick(12) == 0
+                      ? 1 + static_cast<uint32_t>(pick(3))
+                      : 0;
         r.ops[tid].push_back(op);
       }
     }
@@ -282,15 +300,11 @@ std::vector<Key> Keys(const Streams& streams) {
   return k;
 }
 
-// Runs one pattern through a Block (flushing at region boundaries) while
+// Runs `regions` through a Block (flushing at region boundaries) while
 // capturing the per-thread streams, then checks the flushed analysis, a
 // single whole-block analysis and the retained list against the reference.
-void CheckPattern(const DeviceSpec& spec, int block_dim, uint64_t seed) {
-  SCOPED_TRACE(::testing::Message() << "block_dim=" << block_dim
-                                    << " seed=" << seed);
-  std::mt19937_64 rng(seed);
-  const std::vector<Region> regions = MakePattern(rng, block_dim);
-
+void CheckRegions(const DeviceSpec& spec, int block_dim,
+                  const std::vector<Region>& regions) {
   Streams global(block_dim), shared(block_dim);
   BlockTracer split(spec, block_dim, /*retain_accesses=*/true);
   Block block(spec, /*grid_dim=*/1, block_dim);
@@ -340,6 +354,23 @@ void CheckPattern(const DeviceSpec& spec, int block_dim, uint64_t seed) {
   EXPECT_TRUE(whole.retained_global().empty());
 }
 
+void CheckPattern(const DeviceSpec& spec, int block_dim, uint64_t seed,
+                  bool all_lanes = false) {
+  SCOPED_TRACE(::testing::Message() << "block_dim=" << block_dim
+                                    << " seed=" << seed
+                                    << " all_lanes=" << all_lanes);
+  std::mt19937_64 rng(seed);
+  CheckRegions(spec, block_dim, MakePattern(rng, block_dim, all_lanes));
+}
+
+DeviceSpec OtherGeometry() {
+  DeviceSpec spec = DeviceSpec::TeslaP100();
+  spec.sector_bytes = 64;
+  spec.bank_width_bytes = 8;
+  spec.shared_mem_banks = 16;
+  return spec;
+}
+
 TEST(TraceEquivalence, FullWarps) {
   const DeviceSpec spec = DeviceSpec::TitanXMaxwell();
   for (uint64_t seed = 1; seed <= 120; ++seed) {
@@ -358,14 +389,123 @@ TEST(TraceEquivalence, PartialLastWarp) {
 
 // Another supported geometry: wider sectors, 8-byte banks, 16 banks.
 TEST(TraceEquivalence, OtherGeometry) {
-  DeviceSpec spec = DeviceSpec::TeslaP100();
-  spec.sector_bytes = 64;
-  spec.bank_width_bytes = 8;
-  spec.shared_mem_banks = 16;
+  const DeviceSpec spec = OtherGeometry();
   ASSERT_TRUE(BlockTracer::CheckGeometry(spec).ok());
   for (uint64_t seed = 2001; seed <= 2060; ++seed) {
     CheckPattern(spec, 96, seed);
   }
+}
+
+// Every lane active: affine rows take the cached shape costs, and scatters
+// or mixed sizes with full masks take the distinct-word count.
+TEST(TraceEquivalence, AllLanesActive) {
+  const DeviceSpec titan = DeviceSpec::TitanXMaxwell();
+  const DeviceSpec other = OtherGeometry();
+  for (uint64_t seed = 3001; seed <= 3120; ++seed) {
+    CheckPattern(seed % 2 == 0 ? titan : other, seed % 3 == 0 ? 32 : 64, seed,
+                 /*all_lanes=*/true);
+  }
+}
+
+// Unaligned 16-byte accesses at every offset within a sector, at strides
+// that keep lanes adjacent, overlapping and spread over many bank rows.
+TEST(TraceEquivalence, UnalignedSixteenByteRows) {
+  for (const DeviceSpec& spec :
+       {DeviceSpec::TitanXMaxwell(), OtherGeometry()}) {
+    Region r{32, false, std::vector<std::vector<Op>>(32)};
+    for (uint64_t offset = 0; offset < 64; ++offset) {
+      for (int64_t stride : {16, 12, 36, -16, 8196}) {
+        for (bool shared : {false, true}) {
+          for (int tid = 0; tid < 32; ++tid) {
+            r.ops[tid].push_back(Op{shared,
+                                    kNegativeRoom + offset +
+                                        static_cast<uint64_t>(stride * tid),
+                                    16, false, false, 0});
+          }
+        }
+      }
+    }
+    CheckRegions(spec, 32, {r});
+  }
+}
+
+// More distinct (stride, size, offset) classes than the shape table holds,
+// each class met several times in shuffled order, so entries are evicted
+// and recomputed.
+TEST(TraceEquivalence, ShapeTableEviction) {
+  std::mt19937_64 rng(4001);
+  struct Shape {
+    int64_t stride;
+    uint16_t size;
+    uint64_t offset;
+  };
+  std::vector<Shape> shapes;
+  while (shapes.size() < 3 * BlockTracer::kShapeTableEntries) {
+    const int64_t stride = static_cast<int64_t>(rng() % 600) - 300;
+    shapes.push_back(Shape{stride, kSizes[rng() % 5], rng() % 64});
+  }
+  std::vector<Shape> order;
+  for (int pass = 0; pass < 3; ++pass) {
+    std::shuffle(shapes.begin(), shapes.end(), rng);
+    order.insert(order.end(), shapes.begin(), shapes.end());
+  }
+  for (const DeviceSpec& spec :
+       {DeviceSpec::TitanXMaxwell(), OtherGeometry()}) {
+    Region r{64, false, std::vector<std::vector<Op>>(64)};
+    for (const Shape& sh : order) {
+      for (bool shared : {false, true}) {
+        for (int tid = 0; tid < 64; ++tid) {
+          r.ops[tid].push_back(
+              Op{shared,
+                 kNegativeRoom + sh.offset + 65536 * (tid / 32) +
+                     static_cast<uint64_t>(sh.stride * (tid % 32)),
+                 sh.size, false, shared && sh.size == 4 && sh.offset % 4 == 0,
+                 0});
+        }
+      }
+    }
+    CheckRegions(spec, 64, {r});
+  }
+}
+
+// Two tracers of different geometry on one thread, fed identical affine
+// rows in alternation: each must match its own reference, so cached costs
+// never cross geometries.
+TEST(TraceEquivalence, ShapeCostsStayWithTheirGeometry) {
+  const DeviceSpec titan = DeviceSpec::TitanXMaxwell();
+  const DeviceSpec other = OtherGeometry();
+  BlockTracer a(titan, 32), b(other, 32);
+  Streams global(32), shared(32);
+  uint32_t seq = 0;
+  for (int64_t stride : {132, 32, 4, 8, 12, 36, 64, -8}) {
+    for (uint16_t size : {4, 8}) {
+      for (uint64_t offset : {0, 4}) {
+        for (int tid = 0; tid < 32; ++tid) {
+          const uint64_t addr =
+              kNegativeRoom + offset + static_cast<uint64_t>(stride * tid);
+          global[tid].push_back(RefAccess{addr, seq, 0, size, false, false});
+          shared[tid].push_back(RefAccess{addr, seq, 0, size, false, false});
+          for (BlockTracer* t : {&a, &b}) {
+            t->RecordGlobal(tid, seq, addr, size, false);
+            t->RecordShared(tid, seq, addr, size, false, false);
+          }
+        }
+        ++seq;
+        a.EndRegion();
+        b.EndRegion();
+      }
+    }
+  }
+  const KernelMetrics ref_a = RefAnalyze(titan, 32, global, shared);
+  const KernelMetrics ref_b = RefAnalyze(other, 32, global, shared);
+  // The rows cost differently on the two geometries.
+  ASSERT_NE(ref_a.global_transactions, ref_b.global_transactions);
+  ASSERT_NE(ref_a.shared_cycles, ref_b.shared_cycles);
+  KernelMetrics got_a, got_b;
+  a.Analyze(&got_a);
+  b.Analyze(&got_b);
+  ExpectSameMetrics(got_a, ref_a, "TitanXMaxwell");
+  ExpectSameMetrics(got_b, ref_b, "OtherGeometry");
 }
 
 // Reuse after Reset starts from empty slots and a zero epoch.
