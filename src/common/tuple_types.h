@@ -146,6 +146,33 @@ struct ElementTraits<KV64> {
   }
 };
 
+/// The unsigned, order-preserving bit pattern of E's primary key: radix
+/// digits, bucket ranges and the cost model's key width are taken from it.
+template <typename E>
+using KeyBits = typename KeyTraits<typename ElementTraits<E>::Key>::Unsigned;
+
+template <typename E>
+KeyBits<E> OrderedKeyBits(const E& e) {
+  using Key = typename ElementTraits<E>::Key;
+  return KeyTraits<Key>::ToOrderedBits(ElementTraits<E>::PrimaryKey(e));
+}
+
 }  // namespace mptopk
+
+// Every element type the top-k operators run over, as X(type, enumerator,
+// name). It generates the operator registry's per-type hooks
+// (topk/registry.h) and the explicit instantiations of the GPU algorithms,
+// so adding a type means one line here plus its ElementTraits.
+#define MPTOPK_TOPK_ELEMENT_TYPES(X) \
+  X(float, kF32, "f32")              \
+  X(double, kF64, "f64")             \
+  X(uint32_t, kU32, "u32")           \
+  X(int32_t, kI32, "i32")            \
+  X(uint64_t, kU64, "u64")           \
+  X(int64_t, kI64, "i64")            \
+  X(::mptopk::KV, kKV, "kv")         \
+  X(::mptopk::KV64, kKV64, "kv64")   \
+  X(::mptopk::KKV, kKKV, "kkv")      \
+  X(::mptopk::KKKV, kKKKV, "kkkv")
 
 #endif  // MPTOPK_COMMON_TUPLE_TYPES_H_

@@ -202,19 +202,18 @@ struct BlockCompactor {
 Status LaunchFilterProject(const simt::ExecCtx& dev, const CompiledQuery& q,
                            size_t n, GlobalSpan<KV> out,
                            GlobalSpan<uint32_t> counters) {
-  const int grid = static_cast<int>(
-      std::min<uint64_t>(kMaxGrid, CeilDiv(n, kFilterTile)));
-  const size_t per_block = RoundUp(CeilDiv(n, grid), kFilterTile);
+  const gpu::TilePartition part(n, kFilterTile, kMaxGrid);
   auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = kBlockDim, .name = "filter_project"},
+      {.grid_dim = part.grid, .block_dim = kBlockDim,
+       .name = "filter_project"},
       [&](Block& blk) {
         auto kv_tile = blk.AllocShared<KV>(kFilterTile);
         auto flags = blk.AllocShared<uint32_t>(kFilterTile);
         BlockCompactor compactor(blk);
 
-        size_t range_lo = static_cast<size_t>(blk.block_idx()) * per_block;
-        size_t range_hi = std::min(range_lo + per_block, n);
-        for (size_t base = range_lo; base < range_hi; base += kFilterTile) {
+        const size_t range_hi = part.hi(blk.block_idx());
+        for (size_t base = part.lo(blk.block_idx()); base < range_hi;
+             base += kFilterTile) {
           size_t count = std::min(kFilterTile, range_hi - base);
           // Evaluate: one global read per referenced column per row.
           blk.ForEachThread([&](Thread& t) {
@@ -250,13 +249,10 @@ Status LaunchFilterProject(const simt::ExecCtx& dev, const CompiledQuery& q,
 // (bitonic k-runs) per flush. counters[0] = candidates emitted,
 // counters[1] = matched rows.
 Status LaunchFusedFilterTopK(const simt::ExecCtx& dev, const CompiledQuery& q,
-                             size_t n, size_t k,
+                             const gpu::TilePartition& part, size_t k,
                              const gpu::bitonic::Geometry<KV>& g,
                              GlobalSpan<KV> out,
                              GlobalSpan<uint32_t> counters) {
-  const int grid = static_cast<int>(
-      std::min<uint64_t>(kMaxGrid, CeilDiv(n, g.tile)));
-  const size_t per_block = RoundUp(CeilDiv(n, grid), g.tile);
   const size_t opb = g.tile >> g.merges;
   const auto local_steps =
       gpu::bitonic::LocalSortSteps(static_cast<uint32_t>(k));
@@ -266,7 +262,7 @@ Status LaunchFusedFilterTopK(const simt::ExecCtx& dev, const CompiledQuery& q,
   const size_t flush_level = g.tile - g.nt;  // paper: "> 15*nt matched"
 
   auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = g.nt, .regs_per_thread = g.B + 16,
+      {.grid_dim = part.grid, .block_dim = g.nt, .regs_per_thread = g.B + 16,
        .name = "fused_filter_topk"},
       [&](Block& blk) {
         auto s = blk.AllocShared<KV>(g.SharedElems(g.tile));
@@ -275,8 +271,7 @@ Status LaunchFusedFilterTopK(const simt::ExecCtx& dev, const CompiledQuery& q,
         auto scratch = blk.AllocShared<uint32_t>(g.nt);
         auto meta = blk.AllocShared<uint32_t>(2);
 
-        size_t range_lo = static_cast<size_t>(blk.block_idx()) * per_block;
-        size_t range_hi = std::min(range_lo + per_block, n);
+        const size_t range_hi = part.hi(blk.block_idx());
         size_t fill = 0;
         uint32_t matched_total = 0;
 
@@ -316,7 +311,8 @@ Status LaunchFusedFilterTopK(const simt::ExecCtx& dev, const CompiledQuery& q,
           fill = 0;
         };
 
-        for (size_t base = range_lo; base < range_hi; base += g.nt) {
+        for (size_t base = part.lo(blk.block_idx()); base < range_hi;
+             base += g.nt) {
           size_t count = std::min<size_t>(g.nt, range_hi - base);
           // Buffer filler: one row per thread.
           blk.ForEachThread([&](Thread& t) {
@@ -367,16 +363,10 @@ Status LaunchFusedFilterTopK(const simt::ExecCtx& dev, const CompiledQuery& q,
 Status LaunchGatherIds(const simt::ExecCtx& dev, GlobalSpan<int64_t> id_col,
                        GlobalSpan<uint32_t> rows, size_t count,
                        GlobalSpan<int64_t> out) {
-  auto st = dev.Launch(
-      {.grid_dim = 1, .block_dim = kBlockDim, .name = "gather_ids"},
-      [&](Block& blk) {
-        blk.ForEachThread([&](Thread& t) {
-          for (size_t i = t.tid; i < count; i += kBlockDim) {
-            out.Write(t, i, id_col.Read(t, rows.Read(t, i)));
-          }
-        });
+  return gpu::LaunchGridStride(
+      dev, "gather_ids", count, kBlockDim, 1, [&](Thread& t, size_t i) {
+        out.Write(t, i, id_col.Read(t, rows.Read(t, i)));
       });
-  return st.ok() ? Status::OK() : st.status();
 }
 
 // --- Group-by ----------------------------------------------------------------
@@ -389,14 +379,12 @@ uint32_t HashSlots(size_t n) {
 Status LaunchHashBuild(const simt::ExecCtx& dev, GlobalSpan<int32_t> group_col,
                        size_t n, GlobalSpan<uint32_t> keys,
                        GlobalSpan<uint32_t> counts, uint32_t mask) {
-  const int grid = static_cast<int>(
-      std::min<uint64_t>(kMaxGrid, CeilDiv(n, kFilterTile)));
-  const size_t per_block = RoundUp(CeilDiv(n, grid), kFilterTile);
+  const gpu::TilePartition part(n, kFilterTile, kMaxGrid);
   auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = kBlockDim, .name = "groupby_hash"},
+      {.grid_dim = part.grid, .block_dim = kBlockDim, .name = "groupby_hash"},
       [&](Block& blk) {
-        size_t lo = static_cast<size_t>(blk.block_idx()) * per_block;
-        size_t hi = std::min(lo + per_block, n);
+        const size_t lo = part.lo(blk.block_idx());
+        const size_t hi = part.hi(blk.block_idx());
         blk.ForEachThread([&](Thread& t) {
           for (size_t i = lo + t.tid; i < hi; i += kBlockDim) {
             uint32_t key = static_cast<uint32_t>(group_col.Read(t, i));
@@ -420,16 +408,15 @@ Status LaunchCompactGroups(const simt::ExecCtx& dev, GlobalSpan<uint32_t> keys,
                            GlobalSpan<uint32_t> counts, size_t slots,
                            GlobalSpan<KV> out,
                            GlobalSpan<uint32_t> counters) {
-  const int grid = static_cast<int>(
-      std::min<uint64_t>(kMaxGrid, CeilDiv(slots, kFilterTile)));
-  const size_t per_block = RoundUp(CeilDiv(slots, grid), kFilterTile);
+  const gpu::TilePartition part(slots, kFilterTile, kMaxGrid);
   auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = kBlockDim, .name = "groupby_compact"},
+      {.grid_dim = part.grid, .block_dim = kBlockDim,
+       .name = "groupby_compact"},
       [&](Block& blk) {
         BlockCompactor compactor(blk);
-        size_t range_lo = static_cast<size_t>(blk.block_idx()) * per_block;
-        size_t range_hi = std::min(range_lo + per_block, slots);
-        for (size_t base = range_lo; base < range_hi; base += kFilterTile) {
+        const size_t range_hi = part.hi(blk.block_idx());
+        for (size_t base = part.lo(blk.block_idx()); base < range_hi;
+             base += kFilterTile) {
           size_t count = std::min(kFilterTile, range_hi - base);
           compactor.Tile(
               blk, count,
@@ -500,17 +487,17 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
     MPTOPK_ASSIGN_OR_RETURN(
         auto g, gpu::bitonic::ResolveGeometry<KV>(dev.spec(),
                                                   k2, gpu::BitonicOptions{}));
-    const size_t opb = g.tile >> g.merges;
-    const int grid = static_cast<int>(
-        std::min<uint64_t>(kMaxGrid, CeilDiv(n, g.tile)));
-    const size_t per_block = RoundUp(CeilDiv(n, grid), g.tile);
+    // Candidate capacity: every block flushes tile >> merges runs each time
+    // its buffer passes the flush level, plus its final partial flush.
+    const gpu::TilePartition part(n, g.tile, kMaxGrid);
     const size_t max_flushes_per_block =
-        CeilDiv(per_block, g.tile - g.nt) + 2;
+        CeilDiv(part.per_block, g.tile - g.nt) + 2;
     MPTOPK_ASSIGN_OR_RETURN(
-        auto cand, dev.Alloc<KV>(grid * max_flushes_per_block * opb));
+        auto cand, dev.Alloc<KV>(part.grid * max_flushes_per_block *
+                                 (g.tile >> g.merges)));
     GlobalSpan<KV> cand_span(cand);
     MPTOPK_RETURN_NOT_OK(
-        LaunchFusedFilterTopK(dev, q, n, k2, g, cand_span, cnts));
+        LaunchFusedFilterTopK(dev, q, part, k2, g, cand_span, cnts));
     uint32_t counter_vals[2];
     MPTOPK_RETURN_NOT_OK(dev.CopyToHost(counter_vals, counters, 2));
     matched = counter_vals[1];

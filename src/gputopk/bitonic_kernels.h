@@ -74,13 +74,8 @@ StatusOr<Geometry<E>> ResolveGeometry(const simt::DeviceSpec& spec, size_t k,
     return Status::InvalidArgument("elems_per_thread must be a power of two "
                                    "in [2, 64]");
   }
-  g.nt = opts.block_dim > 0 ? opts.block_dim : 256;
-  if (!IsPowerOfTwo(g.nt) || g.nt < 32 ||
-      g.nt > spec.max_threads_per_block) {
-    return Status::InvalidArgument("block_dim must be a power of two in "
-                                   "[32, max_threads_per_block]");
-  }
-  // Shrink the block until the (padded) tile fits in shared memory.
+  // Start at 256 threads per block and halve until the (padded) tile fits
+  // in shared memory.
   while (g.nt > 32) {
     g.tile = static_cast<size_t>(g.nt) * g.B;
     if (g.SharedElems(g.tile) * sizeof(E) <= spec.shared_mem_per_block) break;

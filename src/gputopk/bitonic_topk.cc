@@ -18,6 +18,7 @@
 
 #include "common/bits.h"
 #include "gputopk/bitonic_kernels.h"
+#include "gputopk/kernel_util.h"
 
 namespace mptopk::gpu {
 namespace {
@@ -37,55 +38,31 @@ using namespace bitonic;
 template <typename E>
 Status LaunchGlobalStep(const simt::ExecCtx& dev, GlobalSpan<E> data, size_t m,
                         Step step, const Geometry<E>& g) {
-  const size_t pairs = m / 2;
-  const int block = g.nt;
-  const int grid = static_cast<int>(
-      std::min<uint64_t>(4096, CeilDiv(pairs, block)));
-  auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = block, .name = "bitonic_global_step"},
-      [&](Block& blk) {
-        blk.ForEachThread([&](Thread& t) {
-          size_t stride = static_cast<size_t>(grid) * block;
-          for (size_t p = static_cast<size_t>(blk.block_idx()) * block + t.tid;
-               p < pairs; p += stride) {
-            size_t low = p & (step.inc - 1);
-            size_t i = (p << 1) - low;
-            E a = data.Read(t, i);
-            E b = data.Read(t, i + step.inc);
-            bool ascending = (i & step.dir) == 0;
-            bool a_less = ElementTraits<E>::Less(a, b);
-            if (ascending != a_less) std::swap(a, b);
-            data.Write(t, i, a);
-            data.Write(t, i + step.inc, b);
-          }
-        });
+  return LaunchGridStride(
+      dev, "bitonic_global_step", m / 2, g.nt, 4096, [&](Thread& t, size_t p) {
+        size_t low = p & (step.inc - 1);
+        size_t i = (p << 1) - low;
+        E a = data.Read(t, i);
+        E b = data.Read(t, i + step.inc);
+        bool ascending = (i & step.dir) == 0;
+        bool a_less = ElementTraits<E>::Less(a, b);
+        if (ascending != a_less) std::swap(a, b);
+        data.Write(t, i, a);
+        data.Write(t, i + step.inc, b);
       });
-  return st.ok() ? Status::OK() : st.status();
 }
 
 // Merge over global memory: out[j] = max(in[i], in[i+k]) (ping-pong).
 template <typename E>
 Status LaunchGlobalMerge(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t m,
                          GlobalSpan<E> out, size_t k, const Geometry<E>& g) {
-  const size_t outs = m / 2;
-  const int block = g.nt;
-  const int grid = static_cast<int>(
-      std::min<uint64_t>(4096, CeilDiv(outs, block)));
-  auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = block, .name = "bitonic_global_merge"},
-      [&](Block& blk) {
-        blk.ForEachThread([&](Thread& t) {
-          size_t stride = static_cast<size_t>(grid) * block;
-          for (size_t j = static_cast<size_t>(blk.block_idx()) * block + t.tid;
-               j < outs; j += stride) {
-            size_t i = (j / k) * 2 * k + (j % k);
-            E a = in.Read(t, i);
-            E b = in.Read(t, i + k);
-            out.Write(t, j, ElementTraits<E>::Less(a, b) ? b : a);
-          }
-        });
+  return LaunchGridStride(
+      dev, "bitonic_global_merge", m / 2, g.nt, 4096, [&](Thread& t, size_t j) {
+        size_t i = (j / k) * 2 * k + (j % k);
+        E a = in.Read(t, i);
+        E b = in.Read(t, i + k);
+        out.Write(t, j, ElementTraits<E>::Less(a, b) ? b : a);
       });
-  return st.ok() ? Status::OK() : st.status();
 }
 
 // Shared-memory staged (but unfused) operator: runs `steps` over tiles of
@@ -117,21 +94,10 @@ template <typename E>
 Status LaunchCopyPad(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
                      GlobalSpan<E> work, size_t p2, const Geometry<E>& g) {
   const E sentinel = ElementTraits<E>::LowestSentinel();
-  const int block = g.nt;
-  const int grid =
-      static_cast<int>(std::min<uint64_t>(4096, CeilDiv(p2, block)));
-  auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = block, .name = "bitonic_copy_pad"},
-      [&](Block& blk) {
-        blk.ForEachThread([&](Thread& t) {
-          size_t stride = static_cast<size_t>(grid) * block;
-          for (size_t i = static_cast<size_t>(blk.block_idx()) * block + t.tid;
-               i < p2; i += stride) {
-            work.Write(t, i, i < n ? in.Read(t, i) : sentinel);
-          }
-        });
-      });
-  return st.ok() ? Status::OK() : st.status();
+  return LaunchGridStride(dev, "bitonic_copy_pad", p2, g.nt, 4096,
+                          [&](Thread& t, size_t i) {
+                            work.Write(t, i, i < n ? in.Read(t, i) : sentinel);
+                          });
 }
 
 // The global-memory pipeline used by both the fully naive variant and the
@@ -179,16 +145,10 @@ Status RunUnfused(const simt::ExecCtx& dev, DeviceBuffer<E>& data, size_t n, siz
   }
   // cur[0, k) now holds the ascending top-k run; emit descending.
   GlobalSpan<E> out(*out_k);
-  auto st = dev.Launch(
-      {.grid_dim = 1, .block_dim = g.nt, .name = "bitonic_emit"},
-      [&](Block& blk) {
-        blk.ForEachThread([&](Thread& t) {
-          for (size_t i = t.tid; i < k; i += blk.block_dim()) {
-            out.Write(t, i, cur.Read(t, k - 1 - i));
-          }
-        });
-      });
-  return st.ok() ? Status::OK() : st.status();
+  return LaunchGridStride(dev, "bitonic_emit", k, g.nt, 1,
+                          [&](Thread& t, size_t i) {
+                            out.Write(t, i, cur.Read(t, k - 1 - i));
+                          });
 }
 
 // The fused pipeline: SortReducer, BitonicReducer*, FinalReduce.
@@ -303,27 +263,16 @@ StatusOr<TopKResult<E>> BitonicTopK(const simt::ExecCtx& dev, const E* data, siz
   return BitonicTopKDevice(dev, buf, n, k, opts);
 }
 
-#define MPTOPK_INSTANTIATE_BITONIC(E)                                        \
+#define MPTOPK_INSTANTIATE_BITONIC(E, ...)                                   \
   template StatusOr<TopKResult<E>> BitonicTopKDevice<E>(                     \
-      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t,                       \
+      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t,                \
       const BitonicOptions&);                                                \
   template StatusOr<TopKResult<E>> BitonicTopK<E>(                           \
-      const simt::ExecCtx&, const E*, size_t, size_t, const BitonicOptions&);       \
+      const simt::ExecCtx&, const E*, size_t, size_t, const BitonicOptions&); \
   template StatusOr<TopKResult<E>> BitonicReduceRuns<E>(                     \
-      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t,                       \
+      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t,                \
       const BitonicOptions&);
-
-MPTOPK_INSTANTIATE_BITONIC(float)
-MPTOPK_INSTANTIATE_BITONIC(double)
-MPTOPK_INSTANTIATE_BITONIC(uint32_t)
-MPTOPK_INSTANTIATE_BITONIC(int32_t)
-MPTOPK_INSTANTIATE_BITONIC(uint64_t)
-MPTOPK_INSTANTIATE_BITONIC(int64_t)
-MPTOPK_INSTANTIATE_BITONIC(KV)
-MPTOPK_INSTANTIATE_BITONIC(KV64)
-MPTOPK_INSTANTIATE_BITONIC(KKV)
-MPTOPK_INSTANTIATE_BITONIC(KKKV)
-
+MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_INSTANTIATE_BITONIC)
 #undef MPTOPK_INSTANTIATE_BITONIC
 
 }  // namespace mptopk::gpu

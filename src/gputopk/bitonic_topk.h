@@ -50,14 +50,11 @@ struct BitonicOptions {
   /// 8). 0 = auto: 16 with padding, 8 without (beyond 8, unpadded combined
   /// steps double bank conflicts, Section 4.3).
   int elems_per_thread = 0;
-  /// Threads per block. 0 = auto: 256, halved until the tile fits in shared
-  /// memory for the element type.
-  int block_dim = 0;
 
   /// All optimizations disabled: one kernel per bitonic step, operating
   /// directly on global memory (the 521ms baseline of Section 4.3).
   static BitonicOptions Naive() {
-    return BitonicOptions{false, false, false, false, false, false, 0, 0};
+    return BitonicOptions{false, false, false, false, false, false, 0};
   }
 };
 
@@ -66,8 +63,7 @@ struct BitonicOptions {
 /// two, and k small enough that two runs fit a tile (k <= 1024 for all
 /// supported element types at default settings).
 ///
-/// Instantiated for: float, double, uint32_t, int32_t, uint64_t, int64_t,
-/// KV, KV64, KKV, KKKV.
+/// Instantiated for every type in MPTOPK_TOPK_ELEMENT_TYPES.
 template <typename E>
 StatusOr<TopKResult<E>> BitonicTopKDevice(const simt::ExecCtx& dev,
                                           simt::DeviceBuffer<E>& data,

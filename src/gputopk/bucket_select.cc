@@ -5,9 +5,9 @@
 #include "gputopk/bucket_select.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/bits.h"
-#include "common/key_transform.h"
 #include "gputopk/kernel_util.h"
 
 namespace mptopk::gpu {
@@ -19,18 +19,7 @@ using simt::GlobalSpan;
 using simt::Thread;
 
 constexpr int kBuckets = 16;
-constexpr int kBlockDim = 256;
 constexpr int kMaxPasses = 64;
-constexpr int kMaxGrid = 128;  // bounded grid; blocks cover element ranges
-
-template <typename E>
-using KeyBits = typename KeyTraits<typename ElementTraits<E>::Key>::Unsigned;
-
-template <typename E>
-KeyBits<E> BitsOf(const E& e) {
-  using Key = typename ElementTraits<E>::Key;
-  return KeyTraits<Key>::ToOrderedBits(ElementTraits<E>::PrimaryKey(e));
-}
 
 // Bucket of value v within [lo, hi]: equi-width over the unsigned domain.
 template <typename U>
@@ -45,21 +34,19 @@ uint32_t BucketOf(U v, U lo, U width) {
 template <typename E>
 Status LaunchMinMax(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
                     GlobalSpan<uint64_t> minmax) {
-  const size_t tile = SelectTile<E>();
-  const int grid = static_cast<int>(
-      std::min<uint64_t>(kMaxGrid, CeilDiv(n, tile)));
-  const size_t per_block = RoundUp(CeilDiv(n, grid), tile);
+  const TilePartition part = SelectPartition<E>(n);
   auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = kBlockDim, .name = "bucket_minmax"},
+      {.grid_dim = part.grid, .block_dim = kSelectBlockDim,
+       .name = "bucket_minmax"},
       [&](Block& blk) {
-        auto mn = blk.AllocShared<uint64_t>(kBlockDim);
-        auto mx = blk.AllocShared<uint64_t>(kBlockDim);
-        size_t base = static_cast<size_t>(blk.block_idx()) * per_block;
-        size_t end = std::min(base + per_block, n);
+        auto mn = blk.AllocShared<uint64_t>(kSelectBlockDim);
+        auto mx = blk.AllocShared<uint64_t>(kSelectBlockDim);
+        const size_t base = part.lo(blk.block_idx());
+        const size_t end = part.hi(blk.block_idx());
         blk.ForEachThread([&](Thread& t) {
           uint64_t lo = UINT64_MAX, hi = 0;
-          for (size_t i = base + t.tid; i < end; i += kBlockDim) {
-            uint64_t v = static_cast<uint64_t>(BitsOf(in.Read(t, i)));
+          for (size_t i = base + t.tid; i < end; i += kSelectBlockDim) {
+            uint64_t v = static_cast<uint64_t>(OrderedKeyBits(in.Read(t, i)));
             lo = std::min(lo, v);
             hi = std::max(hi, v);
           }
@@ -67,7 +54,7 @@ Status LaunchMinMax(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
           mx.Write(t, t.tid, hi);
         });
         blk.Sync();
-        for (int stride = kBlockDim / 2; stride > 0; stride >>= 1) {
+        for (int stride = kSelectBlockDim / 2; stride > 0; stride >>= 1) {
           blk.ForEachThread([&](Thread& t) {
             if (t.tid < stride) {
               mn.Write(t, t.tid,
@@ -93,93 +80,23 @@ template <typename E>
 Status LaunchGatherMax(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
                        uint64_t max_bits, GlobalSpan<E> result,
                        GlobalSpan<uint32_t> flag) {
-  const size_t tile = SelectTile<E>();
-  const int grid = static_cast<int>(
-      std::min<uint64_t>(kMaxGrid, CeilDiv(n, tile)));
-  const size_t per_block = RoundUp(CeilDiv(n, grid), tile);
+  const TilePartition part = SelectPartition<E>(n);
   auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = kBlockDim, .name = "bucket_gather_max"},
+      {.grid_dim = part.grid, .block_dim = kSelectBlockDim,
+       .name = "bucket_gather_max"},
       [&](Block& blk) {
-        size_t base = static_cast<size_t>(blk.block_idx()) * per_block;
-        size_t end = std::min(base + per_block, n);
+        const size_t base = part.lo(blk.block_idx());
+        const size_t end = part.hi(blk.block_idx());
         blk.ForEachThread([&](Thread& t) {
-          for (size_t i = base + t.tid; i < end; i += kBlockDim) {
+          for (size_t i = base + t.tid; i < end; i += kSelectBlockDim) {
             E e = in.Read(t, i);
-            if (static_cast<uint64_t>(BitsOf(e)) == max_bits) {
+            if (static_cast<uint64_t>(OrderedKeyBits(e)) == max_bits) {
               if (flag.AtomicAdd(t, 0, 1u) == 0) {
                 result.Write(t, 0, e);
               }
             }
           }
         });
-      });
-  return st.ok() ? Status::OK() : st.status();
-}
-
-// 16-bin histogram over the current range.
-template <typename E>
-Status LaunchBucketHistogram(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
-                             KeyBits<E> lo, KeyBits<E> width,
-                             GlobalSpan<uint32_t> hist) {
-  const size_t tile = SelectTile<E>();
-  const int grid = static_cast<int>(
-      std::min<uint64_t>(kMaxGrid, CeilDiv(n, tile)));
-  const size_t per_block = RoundUp(CeilDiv(n, grid), tile);
-  auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = kBlockDim, .name = "bucket_histogram"},
-      [&](Block& blk) {
-        auto counts = blk.AllocShared<uint32_t>(kBuckets);
-        blk.ForEachThread([&](Thread& t) {
-          if (t.tid < kBuckets) counts.Write(t, t.tid, 0);
-        });
-        blk.Sync();
-        size_t base = static_cast<size_t>(blk.block_idx()) * per_block;
-        size_t end = std::min(base + per_block, n);
-        blk.ForEachThread([&](Thread& t) {
-          for (size_t i = base + t.tid; i < end; i += kBlockDim) {
-            counts.AtomicAdd(t, BucketOf(BitsOf(in.Read(t, i)), lo, width),
-                             1u);
-          }
-        });
-        blk.Sync();
-        blk.ForEachThread([&](Thread& t) {
-          if (t.tid < kBuckets) {
-            uint32_t c = counts.Read(t, t.tid);
-            if (c != 0) hist.ReduceAdd(t, t.tid, c);
-          }
-        });
-      });
-  return st.ok() ? Status::OK() : st.status();
-}
-
-// Emits elements above the pivot bucket into the result and pivot-bucket
-// elements into next_cand via scan-based per-tile compaction.
-template <typename E>
-Status LaunchBucketCluster(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
-                           KeyBits<E> lo, KeyBits<E> width, uint32_t pivot,
-                           GlobalSpan<E> result, size_t emitted,
-                           GlobalSpan<E> next_cand,
-                           GlobalSpan<uint32_t> counters) {
-  const size_t tile = SelectTile<E>();
-  const int grid = static_cast<int>(
-      std::min<uint64_t>(kMaxGrid, CeilDiv(n, tile)));
-  const size_t per_block = RoundUp(CeilDiv(n, grid), tile);
-  auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = kBlockDim, .name = "bucket_cluster"},
-      [&](Block& blk) {
-        auto w = TwoWayCompactWorkspace<E>::Alloc(blk, tile);
-        size_t range_lo = static_cast<size_t>(blk.block_idx()) * per_block;
-        size_t range_hi = std::min(range_lo + per_block, n);
-        for (size_t base = range_lo; base < range_hi; base += tile) {
-          size_t end = std::min(base + tile, range_hi);
-          TwoWayCompactTile<E>(
-              blk, w, in, base, end,
-              [&](const E& e) {
-                uint32_t b = BucketOf(BitsOf(e), lo, width);
-                return b > pivot ? 1 : (b == pivot ? 0 : -1);
-              },
-              result, emitted, next_cand, counters);
-        }
       });
   return st.ok() ? Status::OK() : st.status();
 }
@@ -231,8 +148,6 @@ StatusOr<TopKResult<E>> BucketSelectTopKDevice(const simt::ExecCtx& dev,
   MPTOPK_ASSIGN_OR_RETURN(auto counters, dev.Alloc<uint32_t>(2));
   GlobalSpan<E> candidates = input;
   GlobalSpan<E> next(cand_a), spare(cand_b);
-  GlobalSpan<uint32_t> histspan(hist_buf);
-  GlobalSpan<uint32_t> cnts(counters);
 
   size_t cand_count = n;
   size_t emitted = 0;
@@ -246,38 +161,26 @@ StatusOr<TopKResult<E>> BucketSelectTopKDevice(const simt::ExecCtx& dev,
       k_rem = 0;
       break;
     }
-    U width = static_cast<U>((hi - lo) / kBuckets + 1);
-    MPTOPK_RETURN_NOT_OK(FillDevice<uint32_t>(dev, hist_buf, 0, kBuckets, 0));
-    MPTOPK_RETURN_NOT_OK(
-        LaunchBucketHistogram(dev, candidates, cand_count, lo, width,
-                              histspan));
-    uint32_t h[kBuckets];
-    MPTOPK_RETURN_NOT_OK(dev.CopyToHost(h, hist_buf, kBuckets));
-
-    size_t cum = 0;
-    int pivot = kBuckets - 1;
-    for (int b = kBuckets - 1; b >= 0; --b) {
-      cum += h[b];
-      if (cum >= k_rem) {
-        pivot = b;
-        break;
-      }
-    }
-    const size_t hi_count = cum - h[pivot];
-
-    MPTOPK_RETURN_NOT_OK(FillDevice<uint32_t>(dev, counters, 0, 2, 0));
-    MPTOPK_RETURN_NOT_OK(LaunchBucketCluster(
-        dev, candidates, cand_count, lo, width,
-        static_cast<uint32_t>(pivot), result, emitted, next, cnts));
-    emitted += hi_count;
-    k_rem -= hi_count;
-    cand_count = h[pivot];
+    const U width = static_cast<U>((hi - lo) / kBuckets + 1);
+    const auto bucket = [lo, width](const E& e) {
+      return BucketOf(OrderedKeyBits(e), lo, width);
+    };
+    MPTOPK_ASSIGN_OR_RETURN(
+        SelectPivot p,
+        SelectHistogram(dev, "bucket_histogram", candidates, cand_count,
+                        kBuckets, bucket, hist_buf, k_rem));
+    MPTOPK_RETURN_NOT_OK(SelectCluster(dev, "bucket_cluster", candidates,
+                                       cand_count, bucket, p.bin, result,
+                                       emitted, next, counters));
+    emitted += p.hi_count;
+    k_rem -= p.hi_count;
+    cand_count = p.eq_count;
     candidates = next;
     std::swap(next, spare);
 
     // Narrow the range to the pivot bucket (overflow-safe at the top of the
     // unsigned domain).
-    U new_lo = static_cast<U>(lo + width * static_cast<U>(pivot));
+    U new_lo = static_cast<U>(lo + width * static_cast<U>(p.bin));
     U new_hi = static_cast<U>(new_lo + (width - 1));
     if (new_hi < new_lo || new_hi > hi) new_hi = hi;
     lo = new_lo;
@@ -289,21 +192,10 @@ StatusOr<TopKResult<E>> BucketSelectTopKDevice(const simt::ExecCtx& dev,
   return finish();
 }
 
-#define MPTOPK_INSTANTIATE_BSELECT(E)                                       \
+#define MPTOPK_INSTANTIATE_BSELECT(E, ...)                                  \
   template StatusOr<TopKResult<E>> BucketSelectTopKDevice<E>(               \
       const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t);
-
-MPTOPK_INSTANTIATE_BSELECT(float)
-MPTOPK_INSTANTIATE_BSELECT(double)
-MPTOPK_INSTANTIATE_BSELECT(uint32_t)
-MPTOPK_INSTANTIATE_BSELECT(int32_t)
-MPTOPK_INSTANTIATE_BSELECT(uint64_t)
-MPTOPK_INSTANTIATE_BSELECT(int64_t)
-MPTOPK_INSTANTIATE_BSELECT(KV)
-MPTOPK_INSTANTIATE_BSELECT(KV64)
-MPTOPK_INSTANTIATE_BSELECT(KKV)
-MPTOPK_INSTANTIATE_BSELECT(KKKV)
-
+MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_INSTANTIATE_BSELECT)
 #undef MPTOPK_INSTANTIATE_BSELECT
 
 }  // namespace mptopk::gpu

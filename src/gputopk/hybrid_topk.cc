@@ -19,8 +19,8 @@
 #include <algorithm>
 
 #include "common/bits.h"
-#include "common/key_transform.h"
 #include "gputopk/bitonic_topk.h"
+#include "gputopk/kernel_util.h"
 
 namespace mptopk::gpu {
 namespace {
@@ -47,21 +47,11 @@ bool KeyAtLeast(const E& e, typename ElementTraits<E>::Key pivot) {
 template <typename E>
 Status LaunchSampleGather(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
                           GlobalSpan<E> out, size_t s, size_t stride) {
-  const int grid = static_cast<int>(
-      std::min<uint64_t>(kMaxGrid, CeilDiv(s, kBlockDim)));
-  auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = kBlockDim, .name = "hybrid_sample"},
-      [&](Block& blk) {
-        blk.ForEachThread([&](Thread& t) {
-          size_t step = static_cast<size_t>(grid) * kBlockDim;
-          for (size_t i = static_cast<size_t>(blk.block_idx()) * kBlockDim +
-                          t.tid;
-               i < s; i += step) {
-            out.Write(t, i, in.Read(t, std::min(n - 1, i * stride)));
-          }
-        });
-      });
-  return st.ok() ? Status::OK() : st.status();
+  return LaunchGridStride(dev, "hybrid_sample", s, kBlockDim, kMaxGrid,
+                          [&](Thread& t, size_t i) {
+                            out.Write(t, i,
+                                      in.Read(t, std::min(n - 1, i * stride)));
+                          });
 }
 
 // Threshold filter with warp-ballot compaction: one coalesced read per
@@ -74,12 +64,10 @@ Status LaunchThresholdFilter(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t 
                              typename ElementTraits<E>::Key pivot,
                              GlobalSpan<E> out, size_t out_capacity,
                              GlobalSpan<uint32_t> counter) {
-  const int grid = static_cast<int>(
-      std::min<uint64_t>(kMaxGrid, CeilDiv(n, kBlockDim)));
-  const size_t per_block = RoundUp(CeilDiv(n, grid), kBlockDim);
+  const TilePartition part(n, kBlockDim, kMaxGrid);
   const int warps = kBlockDim / 32;
   auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = kBlockDim,
+      {.grid_dim = part.grid, .block_dim = kBlockDim,
        .name = "hybrid_threshold_filter"},
       [&](Block& blk) {
         // Ballot emulation: flags/values per lane live in registers.
@@ -87,9 +75,9 @@ Status LaunchThresholdFilter(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t 
         uint8_t* flags = blk.ThreadScratch<uint8_t>(1);
         auto warp_base = blk.AllocShared<uint32_t>(warps + 1);
 
-        size_t range_lo = static_cast<size_t>(blk.block_idx()) * per_block;
-        size_t range_hi = std::min(range_lo + per_block, n);
-        for (size_t base = range_lo; base < range_hi; base += kBlockDim) {
+        const size_t range_hi = part.hi(blk.block_idx());
+        for (size_t base = part.lo(blk.block_idx()); base < range_hi;
+             base += kBlockDim) {
           size_t count = std::min<size_t>(kBlockDim, range_hi - base);
           blk.ForEachThread([&](Thread& t) {
             bool m = false;
@@ -207,21 +195,10 @@ StatusOr<TopKResult<E>> HybridTopKDevice(const simt::ExecCtx& dev,
   return BitonicTopKDevice(dev, cand, c, k);
 }
 
-#define MPTOPK_INSTANTIATE_HYBRID(E)                    \
+#define MPTOPK_INSTANTIATE_HYBRID(E, ...)               \
   template StatusOr<TopKResult<E>> HybridTopKDevice<E>( \
       const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t);
-
-MPTOPK_INSTANTIATE_HYBRID(float)
-MPTOPK_INSTANTIATE_HYBRID(double)
-MPTOPK_INSTANTIATE_HYBRID(uint32_t)
-MPTOPK_INSTANTIATE_HYBRID(int32_t)
-MPTOPK_INSTANTIATE_HYBRID(uint64_t)
-MPTOPK_INSTANTIATE_HYBRID(int64_t)
-MPTOPK_INSTANTIATE_HYBRID(KV)
-MPTOPK_INSTANTIATE_HYBRID(KV64)
-MPTOPK_INSTANTIATE_HYBRID(KKV)
-MPTOPK_INSTANTIATE_HYBRID(KKKV)
-
+MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_INSTANTIATE_HYBRID)
 #undef MPTOPK_INSTANTIATE_HYBRID
 
 }  // namespace mptopk::gpu

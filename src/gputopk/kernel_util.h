@@ -1,10 +1,14 @@
-// Small device-side helpers shared by the top-k kernels: buffer fill and
-// copy-out, block-level exclusive prefix sum and the selection algorithms'
-// two-way tile compaction.
+// The launch scaffold the top-k and engine kernels share: the bounded-grid
+// tile partition, the grid-stride launcher and the kernels built on it
+// (buffer fill, copy-out), the block-level exclusive prefix sum, and the
+// select core that RadixSelect and BucketSelect run their passes on
+// (histogram, pivot scan, two-way tile compaction).
 #ifndef MPTOPK_GPUTOPK_KERNEL_UTIL_H_
 #define MPTOPK_GPUTOPK_KERNEL_UTIL_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <vector>
 
 #include "common/bits.h"
 #include "common/status.h"
@@ -13,34 +17,63 @@
 
 namespace mptopk::gpu {
 
-/// Fills buf[offset, offset+count) with `value` using a grid-stride kernel
-/// (counted traffic, like cudaMemset).
-template <typename T>
-Status FillDevice(const simt::ExecCtx& dev, simt::DeviceBuffer<T>& buf,
-                  size_t offset, size_t count, T value) {
+/// The bounded-grid tile partition: at most `max_grid` blocks, each owning
+/// one contiguous range of whole tiles, so per-block setup and flushes
+/// amortize over many tiles. The grid is never zero: n = 0 gets one block
+/// with an empty range.
+struct TilePartition {
+  TilePartition(size_t n, size_t tile, int max_grid)
+      : n(n),
+        grid(static_cast<int>(std::clamp<uint64_t>(CeilDiv(n, tile), 1,
+                                                    max_grid))),
+        per_block(RoundUp(CeilDiv(n, grid), tile)) {}
+
+  /// Block b owns [lo(b), hi(b)), empty past the end of the input.
+  size_t lo(int b) const {
+    return std::min(n, static_cast<size_t>(b) * per_block);
+  }
+  size_t hi(int b) const { return std::min(n, lo(b) + per_block); }
+
+  size_t n;
+  int grid;
+  size_t per_block;
+};
+
+/// Launches kernel `name` as a grid-stride loop over [0, count): at most
+/// `max_grid` blocks of `block` threads; thread t of block b calls
+/// body(t, i) for i = b * block + t and every grid * block after it. An
+/// empty range launches nothing.
+template <typename Body>
+Status LaunchGridStride(const simt::ExecCtx& dev, const char* name,
+                        size_t count, int block, int max_grid,
+                        const Body& body) {
   if (count == 0) return Status::OK();
-  simt::GlobalSpan<T> g(buf);
-  const int block = 256;
-  const int grid = static_cast<int>(
-      std::min<uint64_t>(1024, CeilDiv(count, block)));
+  const int grid =
+      static_cast<int>(std::min<uint64_t>(max_grid, CeilDiv(count, block)));
+  const size_t stride = static_cast<size_t>(grid) * block;
   auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = block, .name = "fill"},
+      {.grid_dim = grid, .block_dim = block, .name = name},
       [&](simt::Block& blk) {
         blk.ForEachThread([&](simt::Thread& t) {
-          size_t stride = static_cast<size_t>(grid) * block;
           for (size_t i = static_cast<size_t>(blk.block_idx()) * block + t.tid;
                i < count; i += stride) {
-            g.Write(t, offset + i, value);
+            body(t, i);
           }
         });
       });
   return st.ok() ? Status::OK() : st.status();
 }
 
+/// Fills buf[offset, offset+count) with `value` (counted traffic, like
+/// cudaMemset).
 template <typename T>
-Status FillDevice(simt::Device& dev, simt::DeviceBuffer<T>& buf, size_t offset,
-                  size_t count, T value) {
-  return FillDevice(simt::ExecCtx(dev), buf, offset, count, value);
+Status FillDevice(const simt::ExecCtx& dev, simt::DeviceBuffer<T>& buf,
+                  size_t offset, size_t count, T value) {
+  simt::GlobalSpan<T> g(buf);
+  return LaunchGridStride(dev, "fill", count, 256, 1024,
+                          [&](simt::Thread& t, size_t i) {
+                            g.Write(t, offset + i, value);
+                          });
 }
 
 /// Block-scope exclusive prefix sum over `count` uint32 values living in
@@ -100,27 +133,16 @@ inline void BlockExclusiveScan(simt::Block& blk,
   if (total_out != nullptr) *total_out = total;
 }
 
-/// Copies src[0, count) into result[emitted, emitted + count) with a
-/// grid-stride kernel named `name`: the selection algorithms' final step.
+/// Copies src[0, count) into result[emitted, emitted + count) with kernel
+/// `name`: the selection algorithms' final step.
 template <typename E>
 Status LaunchCopyOut(const simt::ExecCtx& dev, const char* name,
                      simt::GlobalSpan<E> src, size_t count,
                      simt::GlobalSpan<E> result, size_t emitted) {
-  const int block = 256;
-  const int grid =
-      static_cast<int>(std::min<uint64_t>(256, CeilDiv(count, block)));
-  auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = block, .name = name},
-      [&](simt::Block& blk) {
-        blk.ForEachThread([&](simt::Thread& t) {
-          size_t stride = static_cast<size_t>(grid) * block;
-          for (size_t i = static_cast<size_t>(blk.block_idx()) * block + t.tid;
-               i < count; i += stride) {
-            result.Write(t, emitted + i, src.Read(t, i));
-          }
-        });
-      });
-  return st.ok() ? Status::OK() : st.status();
+  return LaunchGridStride(dev, name, count, 256, 256,
+                          [&](simt::Thread& t, size_t i) {
+                            result.Write(t, emitted + i, src.Read(t, i));
+                          });
 }
 
 /// Tile size of the selection algorithms' scan-based compaction, sized so
@@ -236,6 +258,121 @@ void TwoWayCompactTile(simt::Block& blk, TwoWayCompactWorkspace<E>& w,
     }
   });
   blk.Sync();
+}
+
+// --- Select core -------------------------------------------------------------
+//
+// RadixSelect and BucketSelect share one pass skeleton and differ only in
+// the bin function: the next 8-bit digit of the ordered key bits (256
+// bins) or the key's equal-width bucket within [min, max] (16 bins). Each
+// pass histograms the candidates' bins, finds the pivot bin from the top,
+// then clusters: elements in bins above the pivot go straight to the
+// result, pivot-bin elements become the next pass's candidates. The host
+// loops around these stay with each algorithm.
+
+constexpr int kSelectBlockDim = 256;
+constexpr int kSelectMaxGrid = 128;
+
+/// The select kernels' partition: blocks cover contiguous ranges of
+/// SelectTile<E>() tiles, so the per-block histogram flush amortizes.
+template <typename E>
+TilePartition SelectPartition(size_t n) {
+  return TilePartition(n, SelectTile<E>(), kSelectMaxGrid);
+}
+
+/// Where a select pass splits its candidates: `bin` is the first bin from
+/// the top whose cumulative count reaches k_rem.
+struct SelectPivot {
+  uint32_t bin = 0;
+  size_t hi_count = 0;  ///< candidates in bins above the pivot
+  size_t eq_count = 0;  ///< candidates in the pivot bin
+};
+
+/// One select pass's histogram: zeroes hist_buf[0, bins), counts bin(e)
+/// over in[0, n) with kernel `name` (shared per-block counters, one global
+/// ReduceAdd per nonzero bin per block), reads the counts back and scans
+/// them for the pivot.
+template <typename E, typename BinFn>
+StatusOr<SelectPivot> SelectHistogram(const simt::ExecCtx& dev,
+                                      const char* name, simt::GlobalSpan<E> in,
+                                      size_t n, int bins, const BinFn& bin,
+                                      simt::DeviceBuffer<uint32_t>& hist_buf,
+                                      size_t k_rem) {
+  MPTOPK_RETURN_NOT_OK(FillDevice<uint32_t>(dev, hist_buf, 0, bins, 0));
+  simt::GlobalSpan<uint32_t> hist(hist_buf);
+  const TilePartition part = SelectPartition<E>(n);
+  auto st = dev.Launch(
+      {.grid_dim = part.grid, .block_dim = kSelectBlockDim, .name = name},
+      [&](simt::Block& blk) {
+        auto counts = blk.AllocShared<uint32_t>(bins);
+        blk.ForEachThread([&](simt::Thread& t) {
+          for (int b = t.tid; b < bins; b += kSelectBlockDim) {
+            counts.Write(t, b, 0);
+          }
+        });
+        blk.Sync();
+        const size_t lo = part.lo(blk.block_idx());
+        const size_t hi = part.hi(blk.block_idx());
+        blk.ForEachThread([&](simt::Thread& t) {
+          for (size_t i = lo + t.tid; i < hi; i += kSelectBlockDim) {
+            counts.AtomicAdd(t, bin(in.Read(t, i)), 1u);
+          }
+        });
+        blk.Sync();
+        blk.ForEachThread([&](simt::Thread& t) {
+          for (int b = t.tid; b < bins; b += kSelectBlockDim) {
+            uint32_t c = counts.Read(t, b);
+            if (c != 0) hist.ReduceAdd(t, b, c);
+          }
+        });
+      });
+  if (!st.ok()) return st.status();
+
+  std::vector<uint32_t> h(bins);
+  MPTOPK_RETURN_NOT_OK(dev.CopyToHost(h.data(), hist_buf, bins));
+  size_t cum = 0;
+  int pivot = bins - 1;
+  for (int b = bins - 1; b >= 0; --b) {
+    cum += h[b];
+    if (cum >= k_rem) {
+      pivot = b;
+      break;
+    }
+  }
+  return SelectPivot{static_cast<uint32_t>(pivot), cum - h[pivot], h[pivot]};
+}
+
+/// One select pass's cluster: zeroes counters_buf, then kernel `name`
+/// streams elements of in[0, n) whose bin is above `pivot` into
+/// result[emitted + ...] and pivot-bin elements into next_cand, one
+/// TwoWayCompactTile per tile. counters[0] counts emitted elements,
+/// counters[1] next candidates.
+template <typename E, typename BinFn>
+Status SelectCluster(const simt::ExecCtx& dev, const char* name,
+                     simt::GlobalSpan<E> in, size_t n, const BinFn& bin,
+                     uint32_t pivot, simt::GlobalSpan<E> result,
+                     size_t emitted, simt::GlobalSpan<E> next_cand,
+                     simt::DeviceBuffer<uint32_t>& counters_buf) {
+  MPTOPK_RETURN_NOT_OK(FillDevice<uint32_t>(dev, counters_buf, 0, 2, 0));
+  simt::GlobalSpan<uint32_t> counters(counters_buf);
+  const size_t tile = SelectTile<E>();
+  const TilePartition part = SelectPartition<E>(n);
+  auto st = dev.Launch(
+      {.grid_dim = part.grid, .block_dim = kSelectBlockDim, .name = name},
+      [&](simt::Block& blk) {
+        auto w = TwoWayCompactWorkspace<E>::Alloc(blk, tile);
+        const size_t hi = part.hi(blk.block_idx());
+        for (size_t base = part.lo(blk.block_idx()); base < hi; base += tile) {
+          TwoWayCompactTile<E>(
+              blk, w, in, base, std::min(base + tile, hi),
+              [&](const E& e) {
+                uint32_t b = bin(e);
+                return b > pivot ? 1 : (b == pivot ? 0 : -1);
+              },
+              result, emitted, next_cand, counters);
+        }
+      });
+  return st.ok() ? Status::OK() : st.status();
 }
 
 }  // namespace mptopk::gpu

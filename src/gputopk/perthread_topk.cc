@@ -332,24 +332,13 @@ StatusOr<TopKResult<E>> PerThreadTopK(const simt::ExecCtx& dev, const E* data,
   return PerThreadTopKDevice(dev, buf, n, k, opts);
 }
 
-#define MPTOPK_INSTANTIATE_PERTHREAD(E)                                     \
+#define MPTOPK_INSTANTIATE_PERTHREAD(E, ...)                                \
   template StatusOr<TopKResult<E>> PerThreadTopKDevice<E>(                  \
-      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t,                      \
+      const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t,               \
       const PerThreadOptions&);                                             \
   template StatusOr<TopKResult<E>> PerThreadTopK<E>(                        \
       const simt::ExecCtx&, const E*, size_t, size_t, const PerThreadOptions&);
-
-MPTOPK_INSTANTIATE_PERTHREAD(float)
-MPTOPK_INSTANTIATE_PERTHREAD(double)
-MPTOPK_INSTANTIATE_PERTHREAD(uint32_t)
-MPTOPK_INSTANTIATE_PERTHREAD(int32_t)
-MPTOPK_INSTANTIATE_PERTHREAD(uint64_t)
-MPTOPK_INSTANTIATE_PERTHREAD(int64_t)
-MPTOPK_INSTANTIATE_PERTHREAD(KV)
-MPTOPK_INSTANTIATE_PERTHREAD(KV64)
-MPTOPK_INSTANTIATE_PERTHREAD(KKV)
-MPTOPK_INSTANTIATE_PERTHREAD(KKKV)
-
+MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_INSTANTIATE_PERTHREAD)
 #undef MPTOPK_INSTANTIATE_PERTHREAD
 
 }  // namespace mptopk::gpu

@@ -14,7 +14,6 @@
 #include <algorithm>
 
 #include "common/bits.h"
-#include "common/key_transform.h"
 #include "gputopk/kernel_util.h"
 
 namespace mptopk::gpu {
@@ -39,28 +38,20 @@ constexpr size_t RadixTile() {
 }
 
 template <typename E>
-using KeyBits = typename KeyTraits<typename ElementTraits<E>::Key>::Unsigned;
-
-template <typename E>
-KeyBits<E> OrderedBits(const E& e) {
-  using Key = typename ElementTraits<E>::Key;
-  return KeyTraits<Key>::ToOrderedBits(ElementTraits<E>::PrimaryKey(e));
-}
-
-template <typename E>
 uint32_t DigitOf(const E& e, int pass) {
-  return ExtractDigitLsd(OrderedBits<E>(e), pass, kRadixBits);
+  return ExtractDigitLsd(OrderedKeyBits(e), pass, kRadixBits);
 }
 
 // Pass 1: per-block digit histogram into hist[bin * grid + block]. Each
 // block covers a contiguous range of tiles (bounded grid), which both
 // amortizes the flush and keeps the later scatter stable.
 template <typename E>
-Status LaunchHistogram(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
-                       GlobalSpan<uint32_t> hist, int pass, int grid,
-                       size_t per_block) {
+Status LaunchHistogram(const simt::ExecCtx& dev, GlobalSpan<E> in,
+                       GlobalSpan<uint32_t> hist, int pass,
+                       const TilePartition& part) {
   auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = kBlockDim, .name = "radix_histogram"},
+      {.grid_dim = part.grid, .block_dim = kBlockDim,
+       .name = "radix_histogram"},
       [&](Block& blk) {
         auto counts = blk.AllocShared<uint32_t>(kRadix);
         blk.ForEachThread([&](Thread& t) {
@@ -69,8 +60,8 @@ Status LaunchHistogram(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
           }
         });
         blk.Sync();
-        size_t base = static_cast<size_t>(blk.block_idx()) * per_block;
-        size_t end = std::min(base + per_block, n);
+        const size_t base = part.lo(blk.block_idx());
+        const size_t end = part.hi(blk.block_idx());
         blk.ForEachThread([&](Thread& t) {
           for (size_t i = base + t.tid; i < end; i += kBlockDim) {
             counts.AtomicAdd(t, DigitOf(in.Read(t, i), pass), 1u);
@@ -80,7 +71,7 @@ Status LaunchHistogram(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
         blk.ForEachThread([&](Thread& t) {
           for (int b = t.tid; b < kRadix; b += kBlockDim) {
             hist.Write(t,
-                       static_cast<size_t>(b) * grid + blk.block_idx(),
+                       static_cast<size_t>(b) * part.grid + blk.block_idx(),
                        counts.Read(t, b));
           }
         });
@@ -125,12 +116,13 @@ Status LaunchScan(const simt::ExecCtx& dev, GlobalSpan<uint32_t> hist, size_t co
 // offsets (emitted[]) so ranks stay stable across tiles; global bases come
 // from the scanned per-block histogram.
 template <typename E>
-Status LaunchScatter(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
+Status LaunchScatter(const simt::ExecCtx& dev, GlobalSpan<E> in,
                      GlobalSpan<E> out, GlobalSpan<uint32_t> hist_scanned,
-                     int pass, int grid, size_t per_block) {
+                     int pass, const TilePartition& part) {
   const size_t tile_n = RadixTile<E>();
   auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = kBlockDim, .name = "radix_scatter"},
+      {.grid_dim = part.grid, .block_dim = kBlockDim,
+       .name = "radix_scatter"},
       [&](Block& blk) {
         auto tile = blk.AllocShared<E>(tile_n);
         auto reorder = blk.AllocShared<E>(tile_n);
@@ -147,9 +139,9 @@ Status LaunchScatter(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
         });
         blk.Sync();
 
-        size_t range_lo = static_cast<size_t>(blk.block_idx()) * per_block;
-        size_t range_hi = std::min(range_lo + per_block, n);
-        for (size_t base = range_lo; base < range_hi; base += tile_n) {
+        const size_t range_hi = part.hi(blk.block_idx());
+        for (size_t base = part.lo(blk.block_idx()); base < range_hi;
+             base += tile_n) {
           size_t count = std::min(tile_n, range_hi - base);
 
           // Coalesced load of the tile; zero the per-tile digit counters.
@@ -205,7 +197,7 @@ Status LaunchScatter(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
               E e = reorder.Read(t, i);
               uint32_t d = DigitOf(e, pass);
               uint32_t global_base = hist_scanned.Read(
-                  t, static_cast<size_t>(d) * grid + blk.block_idx());
+                  t, static_cast<size_t>(d) * part.grid + blk.block_idx());
               uint32_t local_rank = static_cast<uint32_t>(i) -
                                     bin_start.Read(t, d) +
                                     emitted.Read(t, d);
@@ -235,14 +227,11 @@ Status RadixSortDevice(const simt::ExecCtx& dev, DeviceBuffer<E>& data, size_t n
   if (out->size() < n) {
     return Status::InvalidArgument("output buffer too small");
   }
-  const int grid = static_cast<int>(
-      std::min<uint64_t>(kMaxGrid, CeilDiv(n, RadixTile<E>())));
-  const size_t per_block =
-      RoundUp(CeilDiv(n, grid), RadixTile<E>());
+  const TilePartition part(n, RadixTile<E>(), kMaxGrid);
+  const size_t hist_size = static_cast<size_t>(kRadix) * part.grid;
   const int passes = static_cast<int>(sizeof(KeyBits<E>));
   MPTOPK_ASSIGN_OR_RETURN(auto ping, dev.Alloc<E>(n));
-  MPTOPK_ASSIGN_OR_RETURN(
-      auto hist, dev.Alloc<uint32_t>(static_cast<size_t>(kRadix) * grid));
+  MPTOPK_ASSIGN_OR_RETURN(auto hist, dev.Alloc<uint32_t>(hist_size));
 
   GlobalSpan<E> src(data);
   GlobalSpan<E> a(ping), b(*out);
@@ -251,12 +240,9 @@ Status RadixSortDevice(const simt::ExecCtx& dev, DeviceBuffer<E>& data, size_t n
   GlobalSpan<E> cur = src, dst = (passes % 2 == 0) ? a : b;
   GlobalSpan<uint32_t> h(hist);
   for (int pass = 0; pass < passes; ++pass) {
-    MPTOPK_RETURN_NOT_OK(
-        LaunchHistogram(dev, cur, n, h, pass, grid, per_block));
-    MPTOPK_RETURN_NOT_OK(
-        LaunchScan(dev, h, static_cast<size_t>(kRadix) * grid));
-    MPTOPK_RETURN_NOT_OK(
-        LaunchScatter(dev, cur, n, dst, h, pass, grid, per_block));
+    MPTOPK_RETURN_NOT_OK(LaunchHistogram(dev, cur, h, pass, part));
+    MPTOPK_RETURN_NOT_OK(LaunchScan(dev, h, hist_size));
+    MPTOPK_RETURN_NOT_OK(LaunchScatter(dev, cur, dst, h, pass, part));
     cur = dst;
     dst = (pass % 2 == 0) == (passes % 2 == 0) ? b : a;
   }
@@ -275,16 +261,10 @@ StatusOr<TopKResult<E>> SortTopKDevice(const simt::ExecCtx& dev,
   // The array is ascending; emit the last k reversed (descending).
   MPTOPK_ASSIGN_OR_RETURN(auto out_k, dev.Alloc<E>(k));
   GlobalSpan<E> s(sorted), o(out_k);
-  auto st = dev.Launch(
-      {.grid_dim = 1, .block_dim = kBlockDim, .name = "sort_emit_topk"},
-      [&](Block& blk) {
-        blk.ForEachThread([&](Thread& t) {
-          for (size_t i = t.tid; i < k; i += kBlockDim) {
-            o.Write(t, i, s.Read(t, n - 1 - i));
-          }
-        });
-      });
-  if (!st.ok()) return st.status();
+  MPTOPK_RETURN_NOT_OK(LaunchGridStride(dev, "sort_emit_topk", k, kBlockDim, 1,
+                                        [&](Thread& t, size_t i) {
+                                          o.Write(t, i, s.Read(t, n - 1 - i));
+                                        }));
 
   TopKResult<E> result;
   result.items.resize(k);
@@ -292,23 +272,12 @@ StatusOr<TopKResult<E>> SortTopKDevice(const simt::ExecCtx& dev,
   return result;
 }
 
-#define MPTOPK_INSTANTIATE_SORT(E)                                          \
-  template Status RadixSortDevice<E>(const simt::ExecCtx&, DeviceBuffer<E>&,        \
+#define MPTOPK_INSTANTIATE_SORT(E, ...)                                     \
+  template Status RadixSortDevice<E>(const simt::ExecCtx&, DeviceBuffer<E>&, \
                                      size_t, DeviceBuffer<E>*);              \
   template StatusOr<TopKResult<E>> SortTopKDevice<E>(                        \
       const simt::ExecCtx&, DeviceBuffer<E>&, size_t, size_t);
-
-MPTOPK_INSTANTIATE_SORT(float)
-MPTOPK_INSTANTIATE_SORT(double)
-MPTOPK_INSTANTIATE_SORT(uint32_t)
-MPTOPK_INSTANTIATE_SORT(int32_t)
-MPTOPK_INSTANTIATE_SORT(uint64_t)
-MPTOPK_INSTANTIATE_SORT(int64_t)
-MPTOPK_INSTANTIATE_SORT(KV)
-MPTOPK_INSTANTIATE_SORT(KV64)
-MPTOPK_INSTANTIATE_SORT(KKV)
-MPTOPK_INSTANTIATE_SORT(KKKV)
-
+MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_INSTANTIATE_SORT)
 #undef MPTOPK_INSTANTIATE_SORT
 
 }  // namespace mptopk::gpu

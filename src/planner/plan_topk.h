@@ -50,8 +50,7 @@ cost::Workload MakeWorkload(const simt::ExecCtx& dev, size_t n, size_t k,
   w.n = n;
   w.k = k;
   w.elem_size = sizeof(E);
-  w.key_size = sizeof(typename KeyTraits<
-                      typename ElementTraits<E>::Key>::Unsigned);
+  w.key_size = sizeof(KeyBits<E>);
   w.dist = hint;
   w.concurrent_streams = dev.concurrency_hint();
   return w;

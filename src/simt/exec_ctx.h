@@ -73,15 +73,10 @@ class ExecCtx {
   /// another context's event.
   Event RecordEvent() const { return stream_->Record(); }
   void WaitEvent(const Event& e) const { stream_->Wait(e); }
-  double now_ms() const { return stream_->now_ms(); }
 
   double total_sim_ms() const { return dev_->total_sim_ms(); }
   double pcie_ms() const { return dev_->pcie_ms(); }
   size_t allocated_bytes() const { return dev_->allocated_bytes(); }
-
-  /// Barrier-epoch race checker state (device-wide; see simt/racecheck.h).
-  bool racecheck() const { return dev_->racecheck(); }
-  const RaceReport& race_report() const { return dev_->race_report(); }
 
  private:
   Device* dev_;

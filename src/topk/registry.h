@@ -25,26 +25,15 @@
 #include "common/status.h"
 #include "common/tuple_types.h"
 #include "cost/cost_model.h"
+#include "gputopk/kernel_util.h"
 #include "gputopk/topk_result.h"
 #include "simt/exec_ctx.h"
 
 namespace mptopk::topk {
 
-// Every element type any operator can run over. X(type, enumerator, name).
-// The per-type virtual hooks of TopKOperator are generated from this list,
-// so a type added here is immediately addressable by every operator.
-#define MPTOPK_TOPK_ELEMENT_TYPES(X) \
-  X(float, kF32, "f32")              \
-  X(double, kF64, "f64")             \
-  X(uint32_t, kU32, "u32")           \
-  X(int32_t, kI32, "i32")            \
-  X(uint64_t, kU64, "u64")           \
-  X(int64_t, kI64, "i64")            \
-  X(::mptopk::KV, kKV, "kv")         \
-  X(::mptopk::KV64, kKV64, "kv64")   \
-  X(::mptopk::KKV, kKKV, "kkv")      \
-  X(::mptopk::KKKV, kKKKV, "kkkv")
-
+// One tag per entry of MPTOPK_TOPK_ELEMENT_TYPES (common/tuple_types.h); the
+// per-type virtual hooks of TopKOperator are generated from the same list,
+// so a type added there is immediately addressable by every operator.
 enum class ElemType : int {
 #define MPTOPK_X(T, EN, NAME) EN,
   MPTOPK_TOPK_ELEMENT_TYPES(MPTOPK_X)
@@ -299,20 +288,11 @@ template <typename E>
 Status NegateKeys(const simt::ExecCtx& dev, simt::DeviceBuffer<E>& in_buf,
                   simt::DeviceBuffer<E>& out_buf, size_t n) {
   simt::GlobalSpan<E> in(in_buf), out(out_buf);
-  const int grid =
-      static_cast<int>(std::min<uint64_t>(1024, CeilDiv(n, 256)));
-  auto st = dev.Launch(
-      {.grid_dim = grid, .block_dim = 256, .name = "negate_keys"},
-      [&](simt::Block& blk) {
-        blk.ForEachThread([&](simt::Thread& t) {
-          size_t stride = static_cast<size_t>(grid) * 256;
-          for (size_t i = static_cast<size_t>(blk.block_idx()) * 256 + t.tid;
-               i < n; i += stride) {
-            out.Write(t, i, ElementTraits<E>::Negated(in.Read(t, i)));
-          }
-        });
-      });
-  return st.ok() ? Status::OK() : st.status();
+  return gpu::LaunchGridStride(dev, "negate_keys", n, 256, 1024,
+                               [&](simt::Thread& t, size_t i) {
+                                 out.Write(t, i, ElementTraits<E>::Negated(
+                                                     in.Read(t, i)));
+                               });
 }
 
 }  // namespace detail

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 
+#include "engine/batch.h"
 #include "engine/query.h"
 #include "engine/tweets.h"
 
@@ -352,6 +353,68 @@ TEST(EngineErrorsTest, BadColumns) {
   EXPECT_FALSE(
       GroupByCountTopKQuery(*fx.table, "id", 10, GroupByStrategy::kSort)
           .ok());
+}
+
+// A table may have no rows (every column added empty). Each kernel's tile
+// partition then gets one empty block instead of a zero grid, so every query
+// shape answers with an empty result.
+std::unique_ptr<Table> EmptyTweetsTable(simt::Device* dev) {
+  auto t = std::make_unique<Table>(dev);
+  EXPECT_TRUE(t->AddColumnI64("id", {}).ok());
+  for (const char* name :
+       {"tweet_time", "retweet_count", "likes_count", "lang", "uid"}) {
+    EXPECT_TRUE(t->AddColumnI32(name, {}).ok());
+  }
+  EXPECT_EQ(t->num_rows(), 0u);
+  return t;
+}
+
+TEST(EngineEmptyTableTest, EveryQueryShapeAnswersEmpty) {
+  simt::Device dev;
+  auto table = EmptyTweetsTable(&dev);
+  const Filter f{{{"tweet_time", CompareOp::kLt, 0.5 * kTweetTimeRange}}};
+  for (bool resilient : {false, true}) {
+    ExecOptions exec;
+    exec.resilient = resilient;
+    for (TopKStrategy s :
+         {TopKStrategy::kFilterSort, TopKStrategy::kFilterBitonic,
+          TopKStrategy::kCombinedBitonic}) {
+      auto r = FilterTopKQuery(*table, f, RetweetRanking(), "id", 10, s, exec);
+      ASSERT_TRUE(r.ok()) << r.status();
+      EXPECT_EQ(r->matched_rows, 0u);
+      EXPECT_TRUE(r->ids.empty());
+      EXPECT_TRUE(r->rank_values.empty());
+    }
+    for (GroupByStrategy s :
+         {GroupByStrategy::kSort, GroupByStrategy::kBitonic}) {
+      auto r = GroupByCountTopKQuery(*table, "uid", 10, s, exec);
+      ASSERT_TRUE(r.ok()) << r.status();
+      EXPECT_EQ(r->num_groups, 0u);
+      EXPECT_TRUE(r->keys.empty());
+    }
+  }
+}
+
+TEST(EngineEmptyTableTest, BatchAnswersEmpty) {
+  simt::Device dev;
+  auto table = EmptyTweetsTable(&dev);
+  std::vector<BatchQuery> batch(3);
+  batch[0].ranking = RetweetRanking();
+  batch[1].ranking = RetweetRanking();
+  batch[1].strategy = TopKStrategy::kFilterSort;
+  batch[2].kind = BatchQuery::Kind::kGroupByCount;
+  batch[2].group_column = "uid";
+  BatchExecutor exec(*table, /*num_streams=*/2);
+  auto rep = exec.Execute(batch);
+  ASSERT_TRUE(rep.ok()) << rep.status();
+  EXPECT_EQ(rep->failed, 0u);
+  ASSERT_EQ(rep->items.size(), batch.size());
+  for (const BatchItemReport& item : rep->items) {
+    ASSERT_TRUE(item.status.ok()) << item.status;
+    EXPECT_EQ(item.result.matched_rows, 0u);
+    EXPECT_TRUE(item.result.ids.empty());
+    EXPECT_EQ(item.group_result.num_groups, 0u);
+  }
 }
 
 TEST(TableTest, SchemaValidation) {

@@ -1,5 +1,6 @@
-// Unit tests for the shared device-side building blocks: FillDevice,
-// BlockExclusiveScan (property-tested across sizes), TwoWayCompactTile, and
+// Unit tests for the shared device-side building blocks: TilePartition,
+// LaunchGridStride, FillDevice, BlockExclusiveScan (property-tested across
+// sizes), TwoWayCompactTile, and
 // the one clock (simt::DeviceTimeTracker) that every reported time is read
 // from.
 #include <gtest/gtest.h>
@@ -20,6 +21,43 @@ using simt::Block;
 using simt::Device;
 using simt::GlobalSpan;
 using simt::Thread;
+
+// The block ranges tile [0, n) exactly, in order, with whole tiles per
+// block; the grid is the bounded ceil(n / tile) and never zero.
+TEST(TilePartitionTest, RangesCoverInputInWholeTiles) {
+  for (size_t n : {0, 1, 2047, 2048, 5000, 262144, 262145, 1000003}) {
+    const TilePartition part(n, 2048, 128);
+    EXPECT_EQ(part.grid, static_cast<int>(std::clamp<uint64_t>(
+                             CeilDiv(n, 2048), 1, 128)))
+        << n;
+    EXPECT_EQ(part.per_block % 2048, 0u) << n;
+    size_t next = 0;
+    for (int b = 0; b < part.grid; ++b) {
+      EXPECT_EQ(part.lo(b), next) << n << " block " << b;
+      EXPECT_LE(part.lo(b), part.hi(b));
+      EXPECT_LE(part.hi(b) - part.lo(b), part.per_block);
+      next = part.hi(b);
+    }
+    EXPECT_EQ(next, n);
+  }
+}
+
+TEST(LaunchGridStrideTest, VisitsEveryIndexOnceWithinTheGridCap) {
+  Device dev;
+  auto buf = dev.Alloc<uint32_t>(10000).value();
+  std::fill(buf.host_data(), buf.host_data() + 10000, 0u);
+  GlobalSpan<uint32_t> g(buf);
+  ASSERT_TRUE(LaunchGridStride(dev, "visit", 10000, 128, 8,
+                               [&](Thread& t, size_t i) {
+                                 g.Write(t, i, g.Read(t, i) + 1);
+                               })
+                  .ok());
+  ASSERT_EQ(dev.kernel_log().size(), 1u);
+  EXPECT_EQ(dev.kernel_log()[0].name, "visit");
+  EXPECT_EQ(dev.kernel_log()[0].resources.grid_dim, 8);
+  EXPECT_EQ(dev.kernel_log()[0].resources.block_dim, 128);
+  for (size_t i = 0; i < 10000; ++i) ASSERT_EQ(buf.host_data()[i], 1u) << i;
+}
 
 TEST(FillDeviceTest, FillsExactRange) {
   Device dev;
