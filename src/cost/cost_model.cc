@@ -5,6 +5,8 @@
 
 #include "common/bits.h"
 #include "gputopk/bitonic_plan.h"
+#include "gputopk/bitonic_topk.h"
+#include "gputopk/perthread_topk.h"
 #include "simt/timing_model.h"
 
 namespace mptopk::cost {
@@ -93,23 +95,18 @@ double RadixSelectCostMs(const simt::DeviceSpec& spec, const Workload& w) {
 BitonicCostBreakdown BitonicTopKCost(const simt::DeviceSpec& spec,
                                      const Workload& w) {
   BitonicCostBreakdown out;
+  // The kernels' own geometry: infeasible exactly when they reject it.
+  const auto geometry = gpu::ResolveBitonicGeometry(spec, w.elem_size, w.k,
+                                                    gpu::BitonicOptions{});
+  if (!geometry.ok()) {
+    out.total_ms = -1.0;
+    return out;
+  }
+  const gpu::BitonicGeometry& g = *geometry;
   const double bg = Bg(spec, w);
   const double bs = Bs(spec);
   const size_t es = w.elem_size;
-
-  // Geometry, mirroring ResolveGeometry: B = 16, block shrunk to fit shared.
-  const int B = 16;
-  int nt = 256;
-  auto shared_elems = [](size_t t) { return t + (t >> 5) + 1; };
-  while (nt > 32 &&
-         shared_elems(static_cast<size_t>(nt) * B) * es >
-             spec.shared_mem_per_block) {
-    nt >>= 1;
-  }
-  const size_t tile = static_cast<size_t>(nt) * B;
-  const int merges = std::min(Log2Floor(static_cast<uint64_t>(B)),
-                              Log2Floor(std::max<size_t>(2, tile / w.k)));
-  const int wb = 4;  // window budget bits for B = 16
+  const int wb = g.WindowBudget(g.B);
 
   // Weighted shared accesses per element for a window list: 2 accesses
   // (read + write), doubled for strided windows (residual conflicts).
@@ -118,28 +115,33 @@ BitonicCostBreakdown BitonicTopKCost(const simt::DeviceSpec& spec,
     for (const auto& win : ws) c += win.strided() ? 4.0 : 2.0;
     return c;
   };
-  const auto local_windows =
-      gpu::PlanBitonicWindows(gpu::BitonicLocalSortSteps(w.k), wb);
-  const auto rebuild_windows =
-      gpu::PlanBitonicWindows(gpu::BitonicRebuildSteps(w.k), wb);
-  const double local_cost = window_cost(local_windows);
-  const double rebuild_cost = window_cost(rebuild_windows);
+  const gpu::BitonicNetwork net(w.k);
+  const double local_cost =
+      window_cost(gpu::PlanBitonicWindows(net.local_sort, wb));
+  const double rebuild_cost =
+      window_cost(gpu::PlanBitonicWindows(net.rebuild, wb));
+  // Shared accesses of one op of a fused kernel's reduction schedule, per
+  // element the kernel loads: a sort's windows or a merge's 1.5 accesses
+  // for each of the op's m elements.
+  auto op_cost = [&](const gpu::BitonicOp& op) {
+    const double per_m = op.kind == gpu::BitonicOp::kLocalSort ? local_cost
+                         : op.kind == gpu::BitonicOp::kRebuild ? rebuild_cost
+                                                               : 1.5;
+    return per_m * (static_cast<double>(op.m) / static_cast<double>(g.tile));
+  };
 
-  // SortReducer shared traffic per input element, in accesses:
-  //   load(1) + local sort + merges (1.5 per surviving element) +
-  //   rebuilds between merges + store(1/2^merges).
-  double per_elem = 1.0 + local_cost;
-  double frac = 1.0;
-  for (int m = 0; m < merges; ++m) {
-    per_elem += 1.5 * frac;
-    frac /= 2;
-    if (m + 1 < merges) per_elem += rebuild_cost * frac;
+  // SortReducer shared traffic per input element, in accesses: load(1) +
+  // its schedule + store(1/2^merges).
+  const size_t opb = g.OutPerBlock();
+  double per_elem = 1.0;
+  for (const auto& op : gpu::BitonicReduceSchedule(g.tile, opb, true)) {
+    per_elem += op_cost(op);
   }
-  per_elem += frac;  // store
+  per_elem += static_cast<double>(opb) / static_cast<double>(g.tile);
   out.shared_traffic_in_d = per_elem;
 
   const double d_bytes = static_cast<double>(w.n) * es;
-  const int red = 1 << merges;  // per-kernel reduction factor
+  const int red = 1 << g.merges;  // per-kernel reduction factor
   out.sort_reducer_global_ms =
       (d_bytes + d_bytes / red) / bg * kMs;
   out.sort_reducer_shared_ms = per_elem * d_bytes / bs * kMs;
@@ -147,15 +149,15 @@ BitonicCostBreakdown BitonicTopKCost(const simt::DeviceSpec& spec,
       std::max(out.sort_reducer_global_ms, out.sort_reducer_shared_ms) +
       LaunchMs(spec);
 
-  // BitonicReducer chain + final kernel: same structure with rebuild first.
+  // BitonicReducer chain + final kernel: its schedule is (rebuild, merge)
+  // pairs, each pair priced in one addition.
   double reducer_per_elem = 1.0 + 1.0 / red;  // load + store
-  frac = 1.0;
-  for (int m = 0; m < merges; ++m) {
-    reducer_per_elem += rebuild_cost * frac + 1.5 * frac;
-    frac /= 2;
+  const auto reducer_ops = gpu::BitonicReduceSchedule(g.tile, opb, false);
+  for (size_t i = 0; i + 1 < reducer_ops.size(); i += 2) {
+    reducer_per_elem += op_cost(reducer_ops[i]) + op_cost(reducer_ops[i + 1]);
   }
   double m_cur = static_cast<double>(w.n) / red;
-  while (m_cur > static_cast<double>(tile)) {
+  while (m_cur > static_cast<double>(g.tile)) {
     double bytes = m_cur * es;
     double tg = (bytes + bytes / red) / bg;
     double ts = reducer_per_elem * bytes / bs;
@@ -207,17 +209,15 @@ double BucketSelectCostMs(const simt::DeviceSpec& spec, const Workload& w) {
 }
 
 double PerThreadCostMs(const simt::DeviceSpec& spec, const Workload& w) {
-  // Block size shrinks with k to fit the heaps in shared memory.
-  int nt = 256;
-  while (nt >= 32 &&
-         w.k * w.elem_size * nt > spec.shared_mem_per_block) {
-    nt >>= 1;
-  }
-  if (nt < 32) return -1.0;  // infeasible (paper Section 4.1)
+  // The kernel's own passes; the block shrinks with k to fit the heaps in
+  // shared memory, infeasible below 32 threads (paper Section 4.1).
+  const auto plan = gpu::PlanPerThreadPasses(spec, w.elem_size, w.n, w.k,
+                                             /*use_registers=*/false);
+  if (!plan.ok()) return -1.0;
+  const int nt = plan->nt;
 
   const double bg = Bg(spec, w);
   const double bs = Bs(spec);
-  const int max_threads = spec.num_sms * spec.max_threads_per_sm;
   const int log_k = std::max(1, Log2Ceil(w.k));
   // Warp slots per heap update: ~2 accesses per sift level plus the root
   // write, inflated ~1.5x by SIMT misalignment of divergent lanes.
@@ -225,15 +225,8 @@ double PerThreadCostMs(const simt::DeviceSpec& spec, const Workload& w) {
 
   double total_s = 0;
   double m = static_cast<double>(w.n);
-  const double threshold = std::max(64.0 * w.k, 4096.0);
-  // Reduction pass chain, mirroring the implementation's geometry.
-  while (m > threshold) {
-    double want = m / (16.0 * w.k);
-    int grid = static_cast<int>(
-        std::clamp(std::ceil(want / nt), 1.0,
-                   static_cast<double>(max_threads / nt)));
+  for (const int grid : plan->grids) {
     double threads = static_cast<double>(grid) * nt;
-    if (threads * w.k >= m) break;
     simt::Occupancy occ = simt::ComputeOccupancy(
         spec, simt::KernelResources{grid, nt, 32,
                                     w.k * w.elem_size * nt});
@@ -281,12 +274,15 @@ double PerThreadCostMs(const simt::DeviceSpec& spec, const Workload& w) {
 }
 
 double HybridCostMs(const simt::DeviceSpec& spec, const Workload& w) {
+  // Every path ends in bitonic top-k at this k, so it fits when that does.
+  const double bitonic_ms = BitonicTopKCostMs(spec, w);
+  if (bitonic_ms < 0) return -1.0;
   const double bg = Bg(spec, w);
   const size_t sample = 16384;
-  if (w.n <= 4 * sample) return BitonicTopKCostMs(spec, w);
+  if (w.n <= 4 * sample) return bitonic_ms;
   if (w.dist == Distribution::kBucketKiller) {
     // Non-discriminating pivot: wasted sample + filter, then full bitonic.
-    return BitonicTopKCostMs(spec, w) +
+    return bitonic_ms +
            static_cast<double>(w.n) * w.elem_size / bg * kMs +
            4 * LaunchMs(spec);
   }

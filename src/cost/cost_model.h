@@ -17,10 +17,18 @@
 //                                            bank conflict factors delta_i)
 //     T   = max(T_g, T_k)
 //
-// The bitonic shared-traffic term is derived from the same window plan the
-// kernels execute (gputopk/bitonic_plan.h), with delta = 1 for contiguous
-// windows and delta = 2 for strided lead windows (the measured residual
-// conflict level after padding + chunk permutation).
+// Where each model gets its plan:
+//
+//  * Bitonic Top-K reads the kernels' geometry (ResolveBitonicGeometry:
+//    block size, tile, merges per kernel, window budget, whether k fits),
+//    reduction schedule and register windows from gputopk/bitonic_plan.h.
+//    Its shared-traffic term sums the schedule's ops with delta = 1 for
+//    contiguous windows and delta = 2 for strided lead windows (the
+//    measured residual conflict level after padding + chunk permutation).
+//  * PerThread prices the passes of gputopk/perthread_topk.h's
+//    PlanPerThreadPasses: the kernel's block size and every pass's grid.
+//  * Hybrid is feasible exactly when bitonic top-k is at the same k.
+//  * Radix Select, Bucket Select and Sort use their own pass models.
 #ifndef MPTOPK_COST_COST_MODEL_H_
 #define MPTOPK_COST_COST_MODEL_H_
 
@@ -61,6 +69,8 @@ double RadixSelectCostMs(const simt::DeviceSpec& spec, const Workload& w);
 
 /// Predicted milliseconds for bitonic top-k with all optimizations
 /// (paper Section 7.2). Also exposes the component terms for inspection.
+/// total_ms is negative, and the terms zero, when the kernels reject the
+/// geometry (two k-runs do not fit one tile).
 struct BitonicCostBreakdown {
   double sort_reducer_global_ms = 0;
   double sort_reducer_shared_ms = 0;
@@ -84,7 +94,8 @@ double PerThreadCostMs(const simt::DeviceSpec& spec, const Workload& w);
 
 /// Sampling-based hybrid (gputopk/hybrid_topk.h; paper Section 8 future
 /// work): ~one coalesced read + sample + tiny bitonic on discriminating
-/// keys; bitonic-plus-a-read on adversarial ones.
+/// keys; bitonic-plus-a-read on adversarial ones. Negative when bitonic
+/// top-k at the same k is infeasible.
 double HybridCostMs(const simt::DeviceSpec& spec, const Workload& w);
 
 }  // namespace mptopk::cost

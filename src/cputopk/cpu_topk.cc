@@ -7,7 +7,7 @@
 
 #include "common/bits.h"
 #include "cputopk/simd_step.h"
-
+#include "gputopk/bitonic_plan.h"
 
 namespace mptopk::cpu {
 namespace {
@@ -101,9 +101,9 @@ std::vector<E> HandPqPartition(const E* data, size_t n, size_t k) {
 // --- CPU bitonic top-k (Appendix C) -------------------------------------------
 
 // The partition is processed in L1-resident vectors of kVectorSize elements.
-// Each vector is reduced 16x by the SortReducer/BitonicReducer step
-// sequences; the surviving bitonic k-runs accumulate in a temp buffer that
-// feeds the next phase, exactly as in the paper's Algorithm 5.
+// Each vector is reduced 16x by the SortReducer/BitonicReducer schedules;
+// the surviving bitonic k-runs accumulate in a temp buffer that feeds the
+// next phase, exactly as in the paper's Algorithm 5.
 constexpr size_t kVectorSize = 2048;
 
 // One compare-exchange step over v[0, m): pairs (i, i+inc), ascending run
@@ -121,29 +121,13 @@ void StepScalar(E* v, size_t m, uint32_t dir, uint32_t inc) {
 }
 
 template <typename E>
-void Step(E* v, size_t m, uint32_t dir, uint32_t inc) {
-  if constexpr (std::is_same_v<E, float>) {
-    StepFloatSimd(v, m, dir, inc);  // AVX2/SSE2/scalar runtime dispatch
-  } else {
-    StepScalar(v, m, dir, inc);
-  }
-}
-
-// Sorted runs of length k, alternating direction (Algorithm 2).
-template <typename E>
-void LocalSort(E* v, size_t m, size_t k) {
-  for (uint32_t len = 1; len < k; len <<= 1) {
-    for (uint32_t inc = len; inc >= 1; inc >>= 1) {
-      Step(v, m, len << 1, inc);
+void RunSteps(E* v, size_t m, const std::vector<gpu::BitonicStep>& steps) {
+  for (const gpu::BitonicStep& st : steps) {
+    if constexpr (std::is_same_v<E, float>) {
+      StepFloatSimd(v, m, st.dir, st.inc);  // AVX2/SSE2/scalar dispatch
+    } else {
+      StepScalar(v, m, st.dir, st.inc);
     }
-  }
-}
-
-// Re-sorts bitonic k-runs (Algorithm 4).
-template <typename E>
-void Rebuild(E* v, size_t m, size_t k) {
-  for (uint32_t inc = static_cast<uint32_t>(k) >> 1; inc >= 1; inc >>= 1) {
-    Step(v, m, static_cast<uint32_t>(k), inc);
   }
 }
 
@@ -158,67 +142,44 @@ void Merge(E* v, size_t m, size_t k) {
   }
 }
 
-// SortReducer over one vector: unsorted 2048 elements -> 128 (bitonic
-// k-runs appended to out).
+// Reduces each L1-resident vector of in[0, n) 16x by the GPU kernels'
+// reduction schedule (gputopk/bitonic_plan.h): the SortReducer's on
+// unsorted input, the BitonicReducer's on bitonic k-runs. The surviving
+// bitonic k-runs are concatenated (merge is last, the GPU reducers'
+// contract).
 template <typename E>
-void SortReduceVector(const E* in, size_t count, E* out, size_t k) {
+std::vector<E> ReducePhase(const E* in, size_t n, bool unsorted,
+                           const gpu::BitonicNetwork& net) {
+  const size_t keep = std::max(kVectorSize / 16, 2 * net.k);
+  const auto ops = gpu::BitonicReduceSchedule(kVectorSize, keep, unsorted);
+  std::vector<E> out(CeilDiv(n, kVectorSize) * keep);
   E v[kVectorSize];
-  std::copy(in, in + count, v);
-  std::fill(v + count, v + kVectorSize,
-            ElementTraits<E>::LowestSentinel());
-  LocalSort(v, kVectorSize, k);
-  size_t m = kVectorSize;
-  const size_t target = std::max(kVectorSize / 16, 2 * k);
-  while (m > target) {
-    Merge(v, m, k);
-    m >>= 1;
-    if (m > target) Rebuild(v, m, k);
+  for (size_t base = 0, o = 0; base < n; base += kVectorSize, o += keep) {
+    const size_t count = std::min(kVectorSize, n - base);
+    std::copy(in + base, in + base + count, v);
+    std::fill(v + count, v + kVectorSize, ElementTraits<E>::LowestSentinel());
+    for (const gpu::BitonicOp& op : ops) {
+      if (op.kind == gpu::BitonicOp::kMerge) {
+        Merge(v, op.m, net.k);
+      } else {
+        RunSteps(v, op.m, op.kind == gpu::BitonicOp::kLocalSort
+                              ? net.local_sort
+                              : net.rebuild);
+      }
+    }
+    std::copy(v, v + keep, out.data() + o);
   }
-  // Leave the output as bitonic runs (merge was last), matching the GPU
-  // SortReducer contract.
-  std::copy(v, v + m, out);
+  return out;
 }
 
-// BitonicReducer over one vector of bitonic k-runs.
-template <typename E>
-void BitonicReduceVector(const E* in, size_t count, E* out, size_t k) {
-  E v[kVectorSize];
-  std::copy(in, in + count, v);
-  std::fill(v + count, v + kVectorSize,
-            ElementTraits<E>::LowestSentinel());
-  size_t m = kVectorSize;
-  const size_t target = std::max(kVectorSize / 16, 2 * k);
-  while (m > target) {
-    Rebuild(v, m, k);
-    Merge(v, m, k);
-    m >>= 1;
-  }
-  std::copy(v, v + m, out);
-}
-
-// Appendix C Algorithm 5: one partition -> top-k.
+// Appendix C Algorithm 5: one partition -> top-k. The step sequences are
+// built once per partition.
 template <typename E>
 std::vector<E> BitonicPartition(const E* data, size_t n, size_t k) {
-  const size_t out_per_vec =
-      std::max(kVectorSize / 16, 2 * k);  // reducer output per vector
-  std::vector<E> cur;
-  cur.reserve(CeilDiv(n, kVectorSize) * out_per_vec);
-  for (size_t base = 0; base < n; base += kVectorSize) {
-    size_t count = std::min(kVectorSize, n - base);
-    size_t old = cur.size();
-    cur.resize(old + out_per_vec);
-    SortReduceVector(data + base, count, cur.data() + old, k);
-  }
+  const gpu::BitonicNetwork net(k);
+  std::vector<E> cur = ReducePhase(data, n, /*unsorted=*/true, net);
   while (cur.size() > kVectorSize) {
-    std::vector<E> next;
-    next.reserve(CeilDiv(cur.size(), kVectorSize) * out_per_vec);
-    for (size_t base = 0; base < cur.size(); base += kVectorSize) {
-      size_t count = std::min(kVectorSize, cur.size() - base);
-      size_t old = next.size();
-      next.resize(old + out_per_vec);
-      BitonicReduceVector(cur.data() + base, count, next.data() + old, k);
-    }
-    cur = std::move(next);
+    cur = ReducePhase(cur.data(), cur.size(), /*unsorted=*/false, net);
   }
   // Final: sort the remaining candidates and take k (paper line 8:
   // "O <- sort(temp[current], numElements)").

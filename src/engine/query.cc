@@ -250,14 +250,12 @@ Status LaunchFilterProject(const simt::ExecCtx& dev, const CompiledQuery& q,
 // counters[1] = matched rows.
 Status LaunchFusedFilterTopK(const simt::ExecCtx& dev, const CompiledQuery& q,
                              const gpu::TilePartition& part, size_t k,
-                             const gpu::bitonic::Geometry<KV>& g,
+                             const gpu::BitonicGeometry& g,
                              GlobalSpan<KV> out,
                              GlobalSpan<uint32_t> counters) {
-  const size_t opb = g.tile >> g.merges;
-  const auto local_steps =
-      gpu::bitonic::LocalSortSteps(static_cast<uint32_t>(k));
-  const auto rebuild_steps =
-      gpu::bitonic::RebuildSteps(static_cast<uint32_t>(k));
+  const size_t opb = g.OutPerBlock();
+  const gpu::BitonicNetwork net(k);
+  const auto ops = gpu::BitonicReduceSchedule(g.tile, opb, /*unsorted=*/true);
   const KV sentinel = ElementTraits<KV>::LowestSentinel();
   const size_t flush_level = g.tile - g.nt;  // paper: "> 15*nt matched"
 
@@ -283,17 +281,7 @@ Status LaunchFusedFilterTopK(const simt::ExecCtx& dev, const CompiledQuery& q,
             }
           });
           blk.Sync();
-          gpu::bitonic::RunStepsShared(blk, s, g.tile, local_steps, g.nt, g);
-          size_t m = g.tile;
-          for (int mg = 0; mg < g.merges; ++mg) {
-            gpu::bitonic::MergeShared(blk, s, m, k, g);
-            m >>= 1;
-            if (mg + 1 < g.merges) {
-              gpu::bitonic::RunStepsShared(
-                  blk, s, m, rebuild_steps,
-                  gpu::bitonic::RebuildThreads(g, m), g);
-            }
-          }
+          gpu::bitonic::ReduceShared(blk, s, ops, net, g);
           blk.ForEachThread([&](Thread& t) {
             if (t.tid == 0) {
               meta.Write(t, 0, counters.AtomicAdd(
@@ -485,8 +473,8 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
   if (strategy == TopKStrategy::kCombinedBitonic) {
     const size_t k2 = NextPowerOfTwo(k);
     MPTOPK_ASSIGN_OR_RETURN(
-        auto g, gpu::bitonic::ResolveGeometry<KV>(dev.spec(),
-                                                  k2, gpu::BitonicOptions{}));
+        auto g, gpu::ResolveBitonicGeometry(dev.spec(), sizeof(KV), k2,
+                                            gpu::BitonicOptions{}));
     // Candidate capacity: every block flushes tile >> merges runs each time
     // its buffer passes the flush level, plus its final partial flush.
     const gpu::TilePartition part(n, g.tile, kMaxGrid);
@@ -494,7 +482,7 @@ StatusOr<QueryResult> FilterTopKQuery(Table& table, const Filter& filter,
         CeilDiv(part.per_block, g.tile - g.nt) + 2;
     MPTOPK_ASSIGN_OR_RETURN(
         auto cand, dev.Alloc<KV>(part.grid * max_flushes_per_block *
-                                 (g.tile >> g.merges)));
+                                 g.OutPerBlock()));
     GlobalSpan<KV> cand_span(cand);
     MPTOPK_RETURN_NOT_OK(
         LaunchFusedFilterTopK(dev, q, part, k2, g, cand_span, cnts));

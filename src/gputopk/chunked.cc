@@ -18,7 +18,8 @@ StatusOr<ChunkedTopKResult<E>> ChunkedTopK(const simt::ExecCtx& dev, const E* da
   if (chunk_elems == 0) {
     chunk_elems = dev.spec().global_mem_bytes / sizeof(E) / 8;
   }
-  chunk_elems = std::max(chunk_elems, 2 * k);
+  // A chunk never exceeds the input, so the staging buffer stays O(n).
+  chunk_elems = std::max(std::min(chunk_elems, n), 2 * k);
 
   ChunkedTopKResult<E> result;
   const size_t chunks = CeilDiv(n, chunk_elems);

@@ -23,7 +23,8 @@ struct ChunkedTopKResult {
 };
 
 /// Streams data[0, n) through the device in chunks of `chunk_elems`
-/// (0 = auto: an eighth of device memory), computing the global top-k.
+/// (0 = auto: an eighth of device memory), capped at n and at least 2k,
+/// computing the global top-k.
 /// Each chunk and the final candidate pool are reduced by the BitonicTopK
 /// registry operator (which rounds k up internally).
 template <typename E>

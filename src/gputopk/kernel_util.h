@@ -12,6 +12,7 @@
 
 #include "common/bits.h"
 #include "common/status.h"
+#include "gputopk/topk_result.h"
 #include "simt/device.h"
 #include "simt/exec_ctx.h"
 
@@ -62,6 +63,15 @@ Status LaunchGridStride(const simt::ExecCtx& dev, const char* name,
         });
       });
   return st.ok() ? Status::OK() : st.status();
+}
+
+/// Reads the k results in out_k back to the host.
+template <typename E>
+StatusOr<TopKResult<E>> ReadTopK(const simt::ExecCtx& dev,
+                                 simt::DeviceBuffer<E>& out_k, size_t k) {
+  TopKResult<E> result{std::vector<E>(k)};
+  MPTOPK_RETURN_NOT_OK(dev.CopyToHost(result.items.data(), out_k, k));
+  return result;
 }
 
 /// Fills buf[offset, offset+count) with `value` (counted traffic, like

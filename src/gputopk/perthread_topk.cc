@@ -2,8 +2,10 @@
 #include "gputopk/perthread_topk.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/bits.h"
+#include "gputopk/kernel_util.h"
 
 namespace mptopk::gpu {
 namespace {
@@ -247,6 +249,53 @@ Status LaunchFinal(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t m,
 
 }  // namespace
 
+StatusOr<PerThreadPlan> PlanPerThreadPasses(const simt::DeviceSpec& spec,
+                                            size_t elem_bytes, size_t n,
+                                            size_t k, bool use_registers) {
+  PerThreadPlan plan;
+  // Block size: largest power of two <= 256 whose heaps fit shared memory.
+  while (plan.nt >= 32 &&
+         k * elem_bytes * plan.nt > spec.shared_mem_per_block) {
+    plan.nt >>= 1;
+  }
+  if (!use_registers && plan.nt < 32) {
+    return Status::ResourceExhausted(
+        "per-thread top-k: k=" + std::to_string(k) + " needs " +
+        std::to_string(k * elem_bytes * 32) +
+        " B shared per 32-thread block, exceeding the 48 KiB limit "
+        "(paper Section 4.1)");
+  }
+  if (use_registers) plan.nt = 256;
+
+  // Final single-block pass thread count.
+  while (plan.ft >= 1 &&
+         k * elem_bytes * plan.ft > spec.shared_mem_per_block) {
+    plan.ft >>= 1;
+  }
+  if (plan.ft < 1) {
+    return Status::ResourceExhausted(
+        "per-thread top-k: even a single k-heap exceeds shared memory");
+  }
+
+  // Each pass aims at 16k inputs per thread on a grid bounded by the
+  // device's resident threads, and stops when it would not reduce the data.
+  const int max_threads = spec.num_sms * spec.max_threads_per_sm;
+  plan.final_threshold =
+      std::max<size_t>(static_cast<size_t>(plan.ft) * k * 2, 4096);
+  size_t m = n;
+  while (m > plan.final_threshold) {
+    size_t want_threads = m / (16 * k);
+    int grid = static_cast<int>(
+        std::clamp<size_t>(CeilDiv(want_threads, plan.nt), 1,
+                           static_cast<size_t>(max_threads / plan.nt)));
+    size_t nt_total = static_cast<size_t>(grid) * plan.nt;
+    if (nt_total * k >= m) break;
+    plan.grids.push_back(grid);
+    m = nt_total * k;
+  }
+  return plan;
+}
+
 template <typename E>
 StatusOr<TopKResult<E>> PerThreadTopKDevice(const simt::ExecCtx& dev,
                                             DeviceBuffer<E>& data, size_t n,
@@ -255,72 +304,35 @@ StatusOr<TopKResult<E>> PerThreadTopKDevice(const simt::ExecCtx& dev,
   if (k == 0 || k > n) {
     return Status::InvalidArgument("require 1 <= k <= n");
   }
-  const auto& spec = dev.spec();
-  // Block size: largest power of two <= 256 whose heaps fit shared memory.
-  int nt = 256;
-  while (nt >= 32 && k * sizeof(E) * nt > spec.shared_mem_per_block) {
-    nt >>= 1;
-  }
-  if (!opts.use_registers && nt < 32) {
-    return Status::ResourceExhausted(
-        "per-thread top-k: k=" + std::to_string(k) + " needs " +
-        std::to_string(k * sizeof(E) * 32) +
-        " B shared per 32-thread block, exceeding the 48 KiB limit "
-        "(paper Section 4.1)");
-  }
-  if (opts.use_registers) nt = 256;
-
-  // Final single-block pass thread count.
-  int ft = 32;
-  while (ft >= 1 && k * sizeof(E) * ft > spec.shared_mem_per_block) {
-    ft >>= 1;
-  }
-  if (ft < 1) {
-    return Status::ResourceExhausted(
-        "per-thread top-k: even a single k-heap exceeds shared memory");
-  }
-
-  const int max_threads = spec.num_sms * spec.max_threads_per_sm;
+  MPTOPK_ASSIGN_OR_RETURN(
+      const PerThreadPlan plan,
+      PlanPerThreadPasses(dev.spec(), sizeof(E), n, k, opts.use_registers));
 
   MPTOPK_ASSIGN_OR_RETURN(auto out_k, dev.Alloc<E>(k));
   GlobalSpan<E> out(out_k);
 
-  GlobalSpan<E> cur(data);
-  size_t m = n;
+  // The passes ping-pong between two buffers of the first pass's output
+  // size.
   DeviceBuffer<E> buf_a, buf_b;
-  bool bufs_ready = false;
-  bool write_to_a = true;  // ping-pong parity
-  const size_t final_threshold =
-      std::max<size_t>(static_cast<size_t>(ft) * k * 2, 4096);
-
-  while (m > final_threshold) {
-    size_t want_threads = m / (16 * k);
-    int grid = static_cast<int>(
-        std::clamp<size_t>(CeilDiv(want_threads, nt), 1,
-                           static_cast<size_t>(max_threads / nt)));
-    size_t nt_total = static_cast<size_t>(grid) * nt;
-    if (nt_total * k >= m) break;  // a pass would not reduce the data
-    if (!bufs_ready) {
-      MPTOPK_ASSIGN_OR_RETURN(buf_a, dev.Alloc<E>(nt_total * k));
-      MPTOPK_ASSIGN_OR_RETURN(buf_b, dev.Alloc<E>(nt_total * k));
-      bufs_ready = true;
-    }
-    GlobalSpan<E> dst = write_to_a ? GlobalSpan<E>(buf_a)
-                                   : GlobalSpan<E>(buf_b);
+  if (!plan.grids.empty()) {
+    const size_t first_out = static_cast<size_t>(plan.grids[0]) * plan.nt * k;
+    MPTOPK_ASSIGN_OR_RETURN(buf_a, dev.Alloc<E>(first_out));
+    MPTOPK_ASSIGN_OR_RETURN(buf_b, dev.Alloc<E>(first_out));
+  }
+  GlobalSpan<E> cur(data);
+  GlobalSpan<E> dst(buf_a), spare(buf_b);
+  size_t m = n;
+  for (const int grid : plan.grids) {
     Status st = opts.use_registers
-                    ? LaunchRegisterPass(dev, cur, m, dst, k, grid, nt)
-                    : LaunchHeapPass(dev, cur, m, dst, k, grid, nt);
+                    ? LaunchRegisterPass(dev, cur, m, dst, k, grid, plan.nt)
+                    : LaunchHeapPass(dev, cur, m, dst, k, grid, plan.nt);
     MPTOPK_RETURN_NOT_OK(st);
     cur = dst;
-    write_to_a = !write_to_a;
-    m = nt_total * k;
+    std::swap(dst, spare);
+    m = static_cast<size_t>(grid) * plan.nt * k;
   }
-  MPTOPK_RETURN_NOT_OK(LaunchFinal(dev, cur, m, out, k, ft));
-
-  TopKResult<E> result;
-  result.items.resize(k);
-  MPTOPK_RETURN_NOT_OK(dev.CopyToHost(result.items.data(), out_k, k));
-  return result;
+  MPTOPK_RETURN_NOT_OK(LaunchFinal(dev, cur, m, out, k, plan.ft));
+  return ReadTopK(dev, out_k, k);
 }
 
 template <typename E>

@@ -20,6 +20,7 @@
 #define MPTOPK_GPUTOPK_PERTHREAD_TOPK_H_
 
 #include <cstddef>
+#include <vector>
 
 #include "common/status.h"
 #include "common/tuple_types.h"
@@ -34,6 +35,22 @@ struct PerThreadOptions {
   /// heaps.
   bool use_registers = false;
 };
+
+/// The launch plan of PerThreadTopKDevice, which cost::PerThreadCostMs
+/// prices as well.
+struct PerThreadPlan {
+  int nt = 256;  ///< threads per block of the reduction passes
+  int ft = 32;   ///< threads of the final single-block pass
+  size_t final_threshold = 0;  ///< larger inputs get reduction passes
+  /// Grid of each reduction pass; pass i leaves grids[i] * nt heaps of k.
+  std::vector<int> grids;
+};
+
+/// Plans PerThreadTopKDevice over n elements of `elem_bytes` bytes. Fails
+/// with ResourceExhausted when the heaps do not fit shared memory.
+StatusOr<PerThreadPlan> PlanPerThreadPasses(const simt::DeviceSpec& spec,
+                                            size_t elem_bytes, size_t n,
+                                            size_t k, bool use_registers);
 
 /// Computes the top-k of device-resident data[0, n). Any 1 <= k <= n.
 /// Fails with ResourceExhausted when k * sizeof(E) * 32 exceeds shared

@@ -265,11 +265,7 @@ StatusOr<TopKResult<E>> SortTopKDevice(const simt::ExecCtx& dev,
                                         [&](Thread& t, size_t i) {
                                           o.Write(t, i, s.Read(t, n - 1 - i));
                                         }));
-
-  TopKResult<E> result;
-  result.items.resize(k);
-  MPTOPK_RETURN_NOT_OK(dev.CopyToHost(result.items.data(), out_k, k));
-  return result;
+  return ReadTopK(dev, out_k, k);
 }
 
 #define MPTOPK_INSTANTIATE_SORT(E, ...)                                     \

@@ -182,24 +182,14 @@ constexpr uint32_t kCpuElemTypes =
     ElemTypeOf<uint32_t>::bit | ElemTypeOf<int32_t>::bit |
     ElemTypeOf<int64_t>::bit | ElemTypeOf<KV>::bit;
 
-cost::Workload RoundKUp(const cost::Workload& w) {
+// Cost hook of the comparison-network methods (bitonic, hybrid): the model
+// at k rounded up to a power of two, as they run. The model reports the
+// kernels' own feasibility (two k-runs per tile).
+template <double (*Model)(const simt::DeviceSpec&, const cost::Workload&)>
+double RoundedKCost(const simt::DeviceSpec& s, const cost::Workload& w) {
   cost::Workload w2 = w;
   w2.k = NextPowerOfTwo(w.k);
-  return w2;
-}
-
-// Cost hooks of the comparison networks: the Section 7 models behind each
-// operator's feasibility rule. The other GPU operators use their model as is.
-double BitonicCost(const simt::DeviceSpec& s, const cost::Workload& w) {
-  // Two k-runs per tile (same rule as the kernels).
-  size_t tile_limit = 4096 / 2;
-  if (w.elem_size > 8) tile_limit = 2048 / 2;
-  if (NextPowerOfTwo(w.k) > tile_limit) return -1.0;
-  return cost::BitonicTopKCostMs(s, RoundKUp(w));
-}
-double HybridCost(const simt::DeviceSpec& s, const cost::Workload& w) {
-  if (NextPowerOfTwo(w.k) > 1024) return -1.0;
-  return cost::HybridCostMs(s, RoundKUp(w));
+  return Model(s, w2);
 }
 
 // The comparison-network methods (bitonic, hybrid): round k up to a power of
@@ -335,7 +325,7 @@ OperatorRegistrar r_bucket(
     40, {"bucket_select"});
 OperatorRegistrar r_bitonic(
     Device("BitonicTopK", "BitonicTopK",
-           {.cost_ms = &BitonicCost},
+           {.cost_ms = &RoundedKCost<cost::BitonicTopKCostMs>},
            [](const simt::ExecCtx& dev, auto& data, size_t n, size_t k) {
              return RunRoundedPow2(dev, data, n, k, [&](size_t k2) {
                return gpu::BitonicTopKDevice(dev, data, n, k2,
@@ -345,7 +335,8 @@ OperatorRegistrar r_bitonic(
     50, {"bitonic"});
 OperatorRegistrar r_hybrid(
     Device("HybridTopK", "HybridTopK",
-           {.extension = true, .cost_ms = &HybridCost},
+           {.extension = true,
+            .cost_ms = &RoundedKCost<cost::HybridCostMs>},
            [](const simt::ExecCtx& dev, auto& data, size_t n, size_t k) {
              return RunRoundedPow2(dev, data, n, k, [&](size_t k2) {
                return gpu::HybridTopKDevice(dev, data, n, k2);

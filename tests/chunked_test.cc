@@ -59,6 +59,21 @@ TEST(ChunkedTopKTest, AccountsTransferSeparately) {
   EXPECT_GT(dev.total_sim_ms(), 0);
 }
 
+TEST(ChunkedTopKTest, DefaultChunkStaysWithinInputSize) {
+  // The auto chunk (an eighth of device memory) is capped at the input, so
+  // a small call allocates O(n) device memory, not the whole chunk.
+  const size_t n = 4096;
+  auto data = GenerateFloats(n, Distribution::kUniform, 8);
+  std::vector<float> ref = data;
+  std::sort(ref.begin(), ref.end(), std::greater<float>());
+  simt::Device dev;
+  auto r = ChunkedTopK(dev, data.data(), n, 16);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->chunks, 1);
+  EXPECT_EQ(r->items, std::vector<float>(ref.begin(), ref.begin() + 16));
+  EXPECT_LE(dev.peak_allocated_bytes(), 4 * n * sizeof(float));
+}
+
 TEST(ChunkedTopKTest, RejectsBadK) {
   auto data = GenerateFloats(128, Distribution::kUniform);
   simt::Device dev;
