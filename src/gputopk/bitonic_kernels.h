@@ -12,6 +12,7 @@
 #include "common/bits.h"
 #include "gputopk/bitonic_plan.h"
 #include "gputopk/bitonic_topk.h"
+#include "gputopk/kernel_util.h"
 
 namespace mptopk::gpu::bitonic {
 
@@ -26,7 +27,9 @@ using simt::Thread;
 // Executes one window of compare-exchange steps over the logical array
 // s[0, m) staged in shared memory. `active_threads` threads each stage
 // gpt * 2^w elements in registers. `permute` rotates each lane's group and
-// intra-group access order (the paper's chunk permutation).
+// intra-group access order (the paper's chunk permutation). The network is
+// data-oblivious: the addresses depend only on the window's bits, m, the
+// thread count and the layout flags, never on the step directions or data.
 template <typename E>
 void RunWindowShared(Block& blk, SharedSpan<E> s, size_t m,
                      const BitonicWindow& w, int active_threads,
@@ -41,7 +44,9 @@ void RunWindowShared(Block& blk, SharedSpan<E> s, size_t m,
   // > 1, paper Figure 10); contiguous windows (lo == 0) are conflict-free
   // under padding and are left untouched.
   const bool permute = g.permute && lo > 0;
-  blk.ForEachThreadBelow(at, [&](Thread& t) {
+  const simt::RegionShape shape(kBitonicWindowSite, s.base_offset(), sizeof(E),
+                                m, lo, w.hi_bit, g.pad, permute);
+  blk.ForEachThreadOblivious(shape, at, [&](Thread& t) {
     E regs[kMaxElemsPerThread];
     for (size_t gj = 0; gj < gpt; ++gj) {
       size_t order = (permute && gpt > 1)
@@ -102,7 +107,9 @@ void MergeShared(Block& blk, SharedSpan<E> s, size_t m, size_t k,
   E* scratch = blk.ThreadScratch<E>(opt);
   // Outputs are assigned round-robin (j = jj*at + tid) so each warp touches
   // contiguous shared words -- conflict-free under padding.
-  blk.ForEachThreadBelow(at, [&](Thread& t) {
+  const simt::RegionShape read_shape(kMergeReadSite, s.base_offset(),
+                                     sizeof(E), m, k, g.pad);
+  blk.ForEachThreadOblivious(read_shape, at, [&](Thread& t) {
     for (size_t jj = 0; jj < opt; ++jj) {
       size_t j = jj * at + t.tid;
       if (j >= outs) continue;
@@ -114,7 +121,9 @@ void MergeShared(Block& blk, SharedSpan<E> s, size_t m, size_t k,
     }
   });
   blk.Sync();
-  blk.ForEachThreadBelow(at, [&](Thread& t) {
+  const simt::RegionShape write_shape(kMergeWriteSite, s.base_offset(),
+                                      sizeof(E), m, g.pad);
+  blk.ForEachThreadOblivious(write_shape, at, [&](Thread& t) {
     for (size_t jj = 0; jj < opt; ++jj) {
       size_t j = jj * at + t.tid;
       if (j >= outs) continue;

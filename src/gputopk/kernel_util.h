@@ -86,6 +86,18 @@ Status FillDevice(const simt::ExecCtx& dev, simt::DeviceBuffer<T>& buf,
                           });
 }
 
+/// Call-site tags of the data-oblivious shared-memory regions
+/// (simt::Block::ForEachThreadOblivious): the first word of each site's
+/// RegionShape, so two sites never share a memo entry.
+enum ObliviousSite : uint64_t {
+  kScanStepSite = 1,
+  kScanBounceSite,
+  kScanShiftSite,
+  kBitonicWindowSite,
+  kMergeReadSite,
+  kMergeWriteSite,
+};
+
 /// Block-scope exclusive prefix sum over `count` uint32 values living in
 /// shared memory (Hillis-Steele over a power-of-two padded range). Must be
 /// called from kernel (block) scope. On return, data[i] holds the exclusive
@@ -95,18 +107,23 @@ Status FillDevice(const simt::ExecCtx& dev, simt::DeviceBuffer<T>& buf,
 ///
 /// Traffic note: this is the textbook O(n log n)-access scan GPU kernels use
 /// inside a block; its shared traffic is counted like any other access.
+/// Its addresses depend only on the spans, `count` and the block size, so
+/// every region is data-oblivious.
 inline void BlockExclusiveScan(simt::Block& blk,
                                simt::SharedSpan<uint32_t> data, size_t count,
                                simt::SharedSpan<uint32_t> scratch,
                                uint32_t* total_out) {
   // scratch must have >= count entries.
   const size_t n = count;
+  const int nt = blk.block_dim();
   // Hillis-Steele inclusive scan, ping-ponging between data and scratch.
   simt::SharedSpan<uint32_t> src = data;
   simt::SharedSpan<uint32_t> dst = scratch;
   for (size_t offset = 1; offset < n; offset <<= 1) {
-    blk.ForEachThread([&](simt::Thread& t) {
-      for (size_t i = t.tid; i < n; i += blk.block_dim()) {
+    const simt::RegionShape shape(kScanStepSite, src.base_offset(),
+                                  dst.base_offset(), n, offset);
+    blk.ForEachThreadOblivious(shape, nt, [&](simt::Thread& t) {
+      for (size_t i = t.tid; i < n; i += nt) {
         uint32_t v = src.Read(t, i);
         if (i >= offset) v += src.Read(t, i - offset);
         dst.Write(t, i, v);
@@ -121,8 +138,10 @@ inline void BlockExclusiveScan(simt::Block& blk,
   bool src_is_data = true;
   for (size_t offset = 1; offset < n; offset <<= 1) src_is_data = !src_is_data;
   if (src_is_data && n > 1) {
-    blk.ForEachThread([&](simt::Thread& t) {
-      for (size_t i = t.tid; i < n; i += blk.block_dim()) {
+    const simt::RegionShape shape(kScanBounceSite, data.base_offset(),
+                                  scratch.base_offset(), n);
+    blk.ForEachThreadOblivious(shape, nt, [&](simt::Thread& t) {
+      for (size_t i = t.tid; i < n; i += nt) {
         scratch.Write(t, i, data.Read(t, i));
       }
     });
@@ -132,8 +151,10 @@ inline void BlockExclusiveScan(simt::Block& blk,
   // src now holds the inclusive scan; shift right by one into `data` to make
   // it exclusive, capturing the block-wide total from the last element.
   uint32_t total = 0;
-  blk.ForEachThread([&](simt::Thread& t) {
-    for (size_t i = t.tid; i < n; i += blk.block_dim()) {
+  const simt::RegionShape shape(kScanShiftSite, src.base_offset(),
+                                data.base_offset(), n);
+  blk.ForEachThreadOblivious(shape, nt, [&](simt::Thread& t) {
+    for (size_t i = t.tid; i < n; i += nt) {
       if (i == n - 1) total = src.Read(t, i);
       uint32_t prev = i == 0 ? 0u : src.Read(t, i - 1);
       data.Write(t, i, prev);

@@ -81,6 +81,43 @@ class Block {
     if (tracer_ != nullptr) AlignWarpSequences();
   }
 
+  /// ForEachThreadBelow for a data-oblivious region: one whose traced
+  /// accesses depend only on `shape` and `count`, never on data or the
+  /// block index, and that makes no global access, local traffic or
+  /// dependent chain. A traced block looks (shape, count) up in its launch
+  /// worker's RegionMemo. On a hit it runs `fn` untraced and adds the
+  /// stored cost; on a miss it traces the region as usual and stores what
+  /// the region cost. Without a memo (racecheck armed) it is
+  /// ForEachThreadBelow.
+  template <typename Fn>
+  void ForEachThreadOblivious(const RegionShape& shape, int count, Fn&& fn) {
+    RegionMemo* memo = tracer_ != nullptr ? tracer_->region_memo() : nullptr;
+    if (memo == nullptr) return ForEachThreadBelow(count, fn);
+    // The key holds `count` as given: a caller may derive addresses from it.
+    const int run = std::min(count, block_dim_);
+    if (const KernelMetrics* cost = memo->Find(shape, count)) {
+      for (int t = 0; t < run; ++t) {
+        threads_[t].tracer = nullptr;
+        fn(threads_[t]);
+        threads_[t].tracer = tracer_;
+      }
+      tracer_->AddRegionCost(*cost);
+      return;
+    }
+    const uint64_t local = tracer_->local_bytes();
+    const uint64_t dependent = tracer_->dependent_cycles();
+    for (int t = 0; t < run; ++t) {
+      fn(threads_[t]);
+    }
+    const KernelMetrics cost = AlignWarpSequences();
+    const bool oblivious = cost.global_transactions == 0 &&
+                           tracer_->local_bytes() == local &&
+                           tracer_->dependent_cycles() == dependent;
+    assert(oblivious && "an oblivious region made a global access, local "
+                        "traffic or a dependent chain");
+    if (oblivious) memo->Store(shape, count, cost);
+  }
+
   /// Block-wide barrier (`__syncthreads`). Execution is already sequential;
   /// this re-aligns warp sequence counters so accesses in different epochs
   /// never coalesce into one warp instruction, and advances the tracer's
@@ -140,8 +177,9 @@ class Block {
   }
 
  private:
-  void AlignWarpSequences() {
-    if (tracer_ == nullptr) return;
+  // Re-aligns every warp's sequence counters and ends the tracer's region,
+  // returning what the region cost.
+  KernelMetrics AlignWarpSequences() {
     const int ws = spec_.warp_size;
     for (int w = 0; w * ws < block_dim_; ++w) {
       int hi = std::min(block_dim_, (w + 1) * ws);
@@ -156,7 +194,7 @@ class Block {
       }
     }
     // No later access can share a (warp, seq) with this region's.
-    tracer_->EndRegion();
+    return tracer_->EndRegion();
   }
 
   const DeviceSpec& spec_;

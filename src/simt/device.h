@@ -213,9 +213,9 @@ class Device {
     const int workers = std::max(1, std::min(host_workers_, cfg.grid_dim));
     struct WorkerCtx {
       WorkerCtx(const DeviceSpec& spec, const LaunchConfig& cfg,
-                bool racecheck)
+                bool racecheck, RegionMemo* memo)
           : block(spec, cfg.grid_dim, cfg.block_dim),
-            tracer(spec, cfg.block_dim, racecheck) {}
+            tracer(spec, cfg.block_dim, racecheck, memo) {}
       Block block;
       BlockTracer tracer;
       KernelMetrics metrics;
@@ -224,8 +224,12 @@ class Device {
     };
     std::vector<std::unique_ptr<WorkerCtx>> ctx;
     ctx.reserve(workers);
+    while (static_cast<int>(region_memos_.size()) < workers) {
+      region_memos_.push_back(std::make_unique<RegionMemo>());
+    }
     for (int w = 0; w < workers; ++w) {
-      ctx.push_back(std::make_unique<WorkerCtx>(spec_, cfg, racecheck_));
+      ctx.push_back(std::make_unique<WorkerCtx>(spec_, cfg, racecheck_,
+                                                region_memos_[w].get()));
     }
     // A single worker runs blocks in order, so its atomics need no turnstile
     // and stay plain read-modify-writes.
@@ -362,6 +366,22 @@ class Device {
   /// (per-launch reports are on KernelStats::race).
   const RaceReport& race_report() const { return race_report_; }
 
+  /// Lookups of data-oblivious region costs since construction, summed
+  /// over the per-worker memos (Block::ForEachThreadOblivious). Host
+  /// performance only: a hit and a miss add the same metrics.
+  struct RegionMemoStats {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+  };
+  RegionMemoStats region_memo_stats() const {
+    RegionMemoStats st;
+    for (const auto& m : region_memos_) {
+      st.hits += m->hits();
+      st.misses += m->misses();
+    }
+    return st;
+  }
+
   /// Installs (or clears, with nullptr) a deterministic fault plan consulted
   /// by Alloc / CopyToDevice / CopyToHost / Launch. The device shares
   /// ownership so tests can keep inspecting the plan's stats().
@@ -482,6 +502,9 @@ class Device {
   bool racecheck_ = false;
   int host_workers_ = 1;
   RaceReport race_report_;
+  /// One per launch worker slot, kept across launches (the costs depend
+  /// only on the region shape and this device's geometry).
+  std::vector<std::unique_ptr<RegionMemo>> region_memos_;
 
   Stream default_stream_;
   std::vector<std::unique_ptr<Stream>> streams_;

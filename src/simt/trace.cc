@@ -69,10 +69,56 @@ Status BlockTracer::CheckGeometry(const DeviceSpec& spec) {
       " shared_mem_banks=" + std::to_string(spec.shared_mem_banks));
 }
 
+size_t RegionMemo::Home(const RegionShape& shape, int count) {
+  // splitmix64's finalizer after each word: a plain multiplicative hash
+  // maps the shapes of one kernel (which differ in a few low bits of one
+  // word) onto few slots.
+  uint64_t h = static_cast<uint64_t>(count);
+  for (uint64_t w : shape.words()) {
+    h += w + 0x9E3779B97F4A7C15ull;
+    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
+    h ^= h >> 31;
+  }
+  return h & (kCapacity - 1);
+}
+
+const KernelMetrics* RegionMemo::Find(const RegionShape& shape, int count) {
+  if (!entries_.empty()) {
+    const size_t home = Home(shape, count);
+    for (int p = 0; p < kProbes; ++p) {
+      const Entry& e = entries_[(home + p) & (kCapacity - 1)];
+      if (e.count < 0) break;  // slots are never freed: the key is absent
+      if (e.count == count && e.shape == shape) {
+        ++hits_;
+        return &e.cost;
+      }
+    }
+  }
+  ++misses_;
+  return nullptr;
+}
+
+void RegionMemo::Store(const RegionShape& shape, int count,
+                       const KernelMetrics& cost) {
+  if (entries_.empty()) entries_.resize(kCapacity);
+  const size_t home = Home(shape, count);
+  Entry* slot = &entries_[home];
+  for (int p = 0; p < kProbes; ++p) {
+    Entry& e = entries_[(home + p) & (kCapacity - 1)];
+    if (e.count < 0) {
+      slot = &e;
+      break;
+    }
+  }
+  *slot = Entry{shape, count, cost};
+}
+
 BlockTracer::BlockTracer(const DeviceSpec& spec, int block_dim,
-                         bool retain_accesses)
+                         bool retain_accesses, RegionMemo* memo)
     : spec_(spec),
       retain_(retain_accesses),
+      memo_(retain_accesses ? nullptr : memo),
       sector_shift_(
           std::countr_zero(static_cast<unsigned>(spec.sector_bytes))),
       word_shift_(
@@ -254,17 +300,20 @@ void BlockTracer::AnalyzeShared(const SlotTable& t, KernelMetrics* m) const {
   }
 }
 
-void BlockTracer::EndRegion() {
+KernelMetrics BlockTracer::EndRegion() {
+  KernelMetrics region;
   for (SlotTable& t : global_) {
-    AnalyzeGlobal(t, &pending_);
+    AnalyzeGlobal(t, &region);
     t.base += t.used;
     t.used = 0;
   }
   for (SlotTable& t : shared_) {
-    AnalyzeShared(t, &pending_);
+    AnalyzeShared(t, &region);
     t.base += t.used;
     t.used = 0;
   }
+  pending_ += region;
+  return region;
 }
 
 void BlockTracer::Analyze(KernelMetrics* m) const {

@@ -36,6 +36,12 @@
 // shape's cost once. Other rows are counted exactly: sectors in a 64-sector
 // bitmap, bank words in a generation-tagged open-addressing key set.
 //
+// Data-oblivious regions (Block::ForEachThreadOblivious) skip all of the
+// above after their first trace: a region whose addresses depend only on a
+// RegionShape and a thread count costs the same in every block and launch,
+// so a RegionMemo owned by the device per launch worker stores that cost
+// and later traced blocks add it without recording a row.
+//
 // Every access also carries the block's barrier epoch — the number of
 // Block::Sync() barriers executed before it. Epochs do not affect the
 // timing analysis; they exist for simt::RaceChecker, which flags
@@ -56,6 +62,59 @@
 #include "simt/metrics.h"
 
 namespace mptopk::simt {
+
+/// What the traced accesses of a data-oblivious region depend on besides
+/// its thread count: a call-site tag and every size parameter of the
+/// site's address pattern (shared base offsets, element bytes, extents,
+/// flags). Two shapes are equal only if every word is.
+class RegionShape {
+ public:
+  static constexpr int kWords = 8;
+
+  template <typename... Words>
+  explicit RegionShape(uint64_t site, Words... words)
+      : words_{site, static_cast<uint64_t>(words)...} {
+    static_assert(sizeof...(Words) < kWords, "too many shape words");
+  }
+
+  bool operator==(const RegionShape&) const = default;
+  const std::array<uint64_t, kWords>& words() const { return words_; }
+
+ private:
+  std::array<uint64_t, kWords> words_;
+};
+
+/// A fixed-capacity table of data-oblivious region costs: the KernelMetrics
+/// one traced region of a (shape, thread count) added. One per launch
+/// worker, owned by the Device and kept across launches; only that
+/// worker's thread touches it during a launch. Keys are compared in full.
+class RegionMemo {
+ public:
+  static constexpr int kCapacity = 512;
+  /// Slots a key may occupy, starting at its hashed home slot.
+  static constexpr int kProbes = 8;
+
+  /// The cost stored for (shape, count), or null.
+  const KernelMetrics* Find(const RegionShape& shape, int count);
+  /// Stores `cost` for (shape, count): in the first free slot of its probe
+  /// window, else over its home slot. The table never grows.
+  void Store(const RegionShape& shape, int count, const KernelMetrics& cost);
+
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+
+ private:
+  struct Entry {
+    RegionShape shape{0};
+    int count = -1;  // -1 marks a free slot
+    KernelMetrics cost;
+  };
+  static size_t Home(const RegionShape& shape, int count);
+
+  std::vector<Entry> entries_;  // kCapacity slots once the first is stored
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+};
 
 class BlockTracer {
  public:
@@ -89,9 +148,11 @@ class BlockTracer {
   static Status CheckGeometry(const DeviceSpec& spec);
 
   /// `retain_accesses` keeps every access in the flat lists returned by
-  /// retained_global()/retained_shared() (for the race checker).
+  /// retained_global()/retained_shared() (for the race checker). `memo`
+  /// prices data-oblivious regions; it is ignored when retaining, so the
+  /// race checker sees every access.
   BlockTracer(const DeviceSpec& spec, int block_dim,
-              bool retain_accesses = false);
+              bool retain_accesses = false, RegionMemo* memo = nullptr);
 
   /// Clears all recorded accesses and pending metrics (block reuse) and
   /// resets the barrier epoch. Slot capacity is kept, so steady-state
@@ -126,9 +187,17 @@ class BlockTracer {
   uint32_t epoch() const { return epoch_; }
 
   /// Region boundary (called by Block after re-aligning warp sequences):
-  /// analyzes every open slot into the pending metrics and rewinds the
-  /// slot tables.
-  void EndRegion();
+  /// analyzes every open slot into the pending metrics, rewinds the slot
+  /// tables and returns what the region added.
+  KernelMetrics EndRegion();
+
+  /// The memo of data-oblivious region costs (null when none or retaining).
+  RegionMemo* region_memo() const { return memo_; }
+  /// Adds a region cost taken from the memo to the pending metrics.
+  void AddRegionCost(const KernelMetrics& cost) { pending_ += cost; }
+  /// Counters a region can raise outside its rows.
+  uint64_t local_bytes() const { return local_bytes_; }
+  uint64_t dependent_cycles() const { return dependent_cycles_; }
 
   /// Accumulates this block's metrics into *m: the pending metrics of
   /// closed regions plus the slots still open. Fills the shape tables, so
@@ -229,6 +298,7 @@ class BlockTracer {
 
   const DeviceSpec& spec_;
   bool retain_;
+  RegionMemo* memo_;
   // Shifts and masks of the (power-of-two) geometry.
   int sector_shift_;
   int word_shift_;

@@ -234,6 +234,30 @@ TEST(AlgoShapeTest, BucketSelectFastAtK1) {
   EXPECT_LT(t1, t64 * 0.7) << "k=1 returns right after min/max";
 }
 
+// Bucket-killer input keeps BucketSelect far inside its kMaxPasses = 64:
+// every k > 1 takes 7 histogram passes at each of these n, and k = 1 none
+// (it returns right after min/max). BucketSelectCostMs prices 16 passes
+// there (ROADMAP item 5).
+TEST(AlgoShapeTest, BucketSelectPassesOnBucketKiller) {
+  for (size_t n : {size_t{1} << 14, size_t{1} << 16, size_t{1} << 18}) {
+    const auto data = GenerateFloats(n, Distribution::kBucketKiller);
+    for (size_t k : {1, 32, 256, 1024}) {
+      simt::Device dev;
+      dev.set_trace_sample_target(1);
+      auto r = topk::FindOperator("BucketSelect")
+                   .value()
+                   ->TopKHost(dev, data.data(), n, k);
+      ASSERT_TRUE(r.ok()) << "n=" << n << " k=" << k;
+      CheckKeys(*r, data, k);
+      int passes = 0;
+      for (const auto& launch : dev.kernel_log()) {
+        passes += launch.name == "bucket_histogram";
+      }
+      EXPECT_EQ(passes, k == 1 ? 0 : 7) << "n=" << n << " k=" << k;
+    }
+  }
+}
+
 TEST(AlgoShapeTest, PerThreadOccupancyCliffAtLargeK) {
   const size_t n = 1 << 20;
   auto data = GenerateFloats(n, Distribution::kUniform);
