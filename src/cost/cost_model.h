@@ -17,18 +17,27 @@
 //                                            bank conflict factors delta_i)
 //     T   = max(T_g, T_k)
 //
-// Where each model gets its plan:
+// Where each model gets its plan: each prices the launches its kernels
+// make, one overhead each, from the gputopk definitions the kernels read.
 //
-//  * Bitonic Top-K reads the kernels' geometry (ResolveBitonicGeometry:
-//    block size, tile, merges per kernel, window budget, whether k fits),
-//    reduction schedule and register windows from gputopk/bitonic_plan.h.
-//    Its shared-traffic term sums the schedule's ops with delta = 1 for
+//  * Sort: RadixSortPasses and SortTopKLaunches (radix_sort.h).
+//  * Radix Select: SelectPartition sizes each pass's threads and
+//    SelectLaunches counts fill + histogram per pass, fill + cluster per
+//    pass that reduces, one copy-out (kernel_util.h).
+//  * Bucket Select: BucketRangePasses bounds the passes (the key-bit range
+//    shrinks 16x per pass) and BucketSelectLaunches adds min/max and the
+//    k = 1 gather (bucket_select.h).
+//  * Bitonic Top-K: ResolveBitonicGeometry, BitonicReduceSchedule and the
+//    register windows (bitonic_plan.h); the reducer chain walks
+//    BitonicGeometry::Reduced, and one tile runs the final kernel only. Its
+//    shared-traffic term sums the schedule's ops with delta = 1 for
 //    contiguous windows and delta = 2 for strided lead windows (the
 //    measured residual conflict level after padding + chunk permutation).
-//  * PerThread prices the passes of gputopk/perthread_topk.h's
-//    PlanPerThreadPasses: the kernel's block size and every pass's grid.
-//  * Hybrid is feasible exactly when bitonic top-k is at the same k.
-//  * Radix Select, Bucket Select and Sort use their own pass models.
+//  * PerThread: PlanPerThreadPasses (perthread_topk.h), every pass's grid
+//    and block size and PerThreadPlan::launches().
+//  * Hybrid: PlanHybrid (hybrid_topk.h); its two BitonicTopKDevice calls
+//    are priced by the bitonic model, so it fits exactly when bitonic
+//    top-k does at the same k.
 #ifndef MPTOPK_COST_COST_MODEL_H_
 #define MPTOPK_COST_COST_MODEL_H_
 
@@ -72,6 +81,8 @@ double RadixSelectCostMs(const simt::DeviceSpec& spec, const Workload& w);
 /// total_ms is negative, and the terms zero, when the kernels reject the
 /// geometry (two k-runs do not fit one tile).
 struct BitonicCostBreakdown {
+  /// Traffic of the first kernel: the SortReducer, or the final kernel
+  /// when the input fits one tile and nothing else runs.
   double sort_reducer_global_ms = 0;
   double sort_reducer_shared_ms = 0;
   double reducer_tail_ms = 0;  // BitonicReducer chain + final kernel
@@ -93,8 +104,9 @@ double BucketSelectCostMs(const simt::DeviceSpec& spec, const Workload& w);
 double PerThreadCostMs(const simt::DeviceSpec& spec, const Workload& w);
 
 /// Sampling-based hybrid (gputopk/hybrid_topk.h; paper Section 8 future
-/// work): ~one coalesced read + sample + tiny bitonic on discriminating
-/// keys; bitonic-plus-a-read on adversarial ones. Negative when bitonic
+/// work): sample + bitonic on the sample + ~one coalesced read + bitonic
+/// on the candidates for discriminating keys; bitonic over the input after
+/// the wasted sample and read on adversarial ones. Negative when bitonic
 /// top-k at the same k is infeasible.
 double HybridCostMs(const simt::DeviceSpec& spec, const Workload& w);
 

@@ -5,6 +5,7 @@
 #include "gputopk/bucket_select.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/bits.h"
@@ -18,15 +19,12 @@ using simt::DeviceBuffer;
 using simt::GlobalSpan;
 using simt::Thread;
 
-constexpr int kBuckets = 16;
-constexpr int kMaxPasses = 64;
-
 // Bucket of value v within [lo, hi]: equi-width over the unsigned domain.
 template <typename U>
 uint32_t BucketOf(U v, U lo, U width) {
   U idx = (v - lo) / width;
   return static_cast<uint32_t>(
-      std::min<U>(idx, static_cast<U>(kBuckets - 1)));
+      std::min<U>(idx, static_cast<U>(kBucketSelectBuckets - 1)));
 }
 
 // First pass: min/max of the key bits (shared tree reduction per block, one
@@ -34,7 +32,7 @@ uint32_t BucketOf(U v, U lo, U width) {
 template <typename E>
 Status LaunchMinMax(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
                     GlobalSpan<uint64_t> minmax) {
-  const TilePartition part = SelectPartition<E>(n);
+  const TilePartition part = SelectPartition(n, sizeof(E));
   auto st = dev.Launch(
       {.grid_dim = part.grid, .block_dim = kSelectBlockDim,
        .name = "bucket_minmax"},
@@ -80,7 +78,7 @@ template <typename E>
 Status LaunchGatherMax(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t n,
                        uint64_t max_bits, GlobalSpan<E> result,
                        GlobalSpan<uint32_t> flag) {
-  const TilePartition part = SelectPartition<E>(n);
+  const TilePartition part = SelectPartition(n, sizeof(E));
   auto st = dev.Launch(
       {.grid_dim = part.grid, .block_dim = kSelectBlockDim,
        .name = "bucket_gather_max"},
@@ -144,7 +142,8 @@ StatusOr<TopKResult<E>> BucketSelectTopKDevice(const simt::ExecCtx& dev,
 
   MPTOPK_ASSIGN_OR_RETURN(auto cand_a, dev.Alloc<E>(n));
   MPTOPK_ASSIGN_OR_RETURN(auto cand_b, dev.Alloc<E>(n));
-  MPTOPK_ASSIGN_OR_RETURN(auto hist_buf, dev.Alloc<uint32_t>(kBuckets));
+  MPTOPK_ASSIGN_OR_RETURN(auto hist_buf,
+                          dev.Alloc<uint32_t>(kBucketSelectBuckets));
   MPTOPK_ASSIGN_OR_RETURN(auto counters, dev.Alloc<uint32_t>(2));
   GlobalSpan<E> candidates = input;
   GlobalSpan<E> next(cand_a), spare(cand_b);
@@ -152,7 +151,8 @@ StatusOr<TopKResult<E>> BucketSelectTopKDevice(const simt::ExecCtx& dev,
   size_t cand_count = n;
   size_t emitted = 0;
   size_t k_rem = k;
-  for (int pass = 0; pass < kMaxPasses && k_rem > 0; ++pass) {
+  const int max_passes = BucketRangePasses(std::numeric_limits<U>::max());
+  for (int pass = 0; pass <= max_passes && k_rem > 0; ++pass) {
     if (lo == hi || cand_count == k_rem) {
       // Degenerate range (all candidates tie) or exact fit: flush.
       MPTOPK_RETURN_NOT_OK(
@@ -161,14 +161,14 @@ StatusOr<TopKResult<E>> BucketSelectTopKDevice(const simt::ExecCtx& dev,
       k_rem = 0;
       break;
     }
-    const U width = static_cast<U>((hi - lo) / kBuckets + 1);
+    const U width = BucketWidth(lo, hi);
     const auto bucket = [lo, width](const E& e) {
       return BucketOf(OrderedKeyBits(e), lo, width);
     };
     MPTOPK_ASSIGN_OR_RETURN(
         SelectPivot p,
         SelectHistogram(dev, "bucket_histogram", candidates, cand_count,
-                        kBuckets, bucket, hist_buf, k_rem));
+                        kBucketSelectBuckets, bucket, hist_buf, k_rem));
     MPTOPK_RETURN_NOT_OK(SelectCluster(dev, "bucket_cluster", candidates,
                                        cand_count, bucket, p.bin, result,
                                        emitted, next, counters));

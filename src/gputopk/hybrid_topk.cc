@@ -139,6 +139,23 @@ Status LaunchThresholdFilter(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t 
 
 }  // namespace
 
+HybridPlan PlanHybrid(size_t n, size_t k) {
+  HybridPlan plan;
+  plan.sample = std::min(n, kSampleSize);
+  // The pivot rank in the sample: expected candidates = m * n/s; aim for a
+  // few k of headroom so unlucky samples still cover the top-k.
+  plan.pivot_rank = std::min(
+      plan.sample / 2,
+      std::max<size_t>(32, CeilDiv(4 * k * plan.sample,
+                                   std::max(n, plan.sample))));
+  // Too small (or k too large relative to n) for sampling to pay off.
+  plan.sampled = n > 4 * plan.sample && plan.pivot_rank < plan.sample / 2;
+  plan.candidate_cap = std::max<size_t>(
+      2 * k, static_cast<size_t>(kMaxCandidateFraction *
+                                 static_cast<double>(n)));
+  return plan;
+}
+
 template <typename E>
 StatusOr<TopKResult<E>> HybridTopKDevice(const simt::ExecCtx& dev,
                                          DeviceBuffer<E>& data, size_t n,
@@ -150,31 +167,22 @@ StatusOr<TopKResult<E>> HybridTopKDevice(const simt::ExecCtx& dev,
     return Status::InvalidArgument("hybrid top-k requires power-of-two k");
   }
   GlobalSpan<E> in(data);
-
-  const size_t s = std::min(n, kSampleSize);
-  // The pivot rank in the sample: expected candidates = m * n/s; aim for a
-  // few k of headroom so unlucky samples still cover the top-k.
-  const size_t m = std::min(
-      s / 2, std::max<size_t>(32, CeilDiv(4 * k * s, std::max(n, s))));
-  if (n <= 4 * s || m >= s / 2) {
-    // Too small (or k too large relative to n) for sampling to pay off.
-    return BitonicTopKDevice(dev, data, n, k);
-  }
+  const HybridPlan plan = PlanHybrid(n, k);
+  if (!plan.sampled) return BitonicTopKDevice(dev, data, n, k);
 
   // 1+2: sample and find the pivot key.
+  const size_t s = plan.sample;
   MPTOPK_ASSIGN_OR_RETURN(auto sample, dev.Alloc<E>(s));
   GlobalSpan<E> sample_span(sample);
   MPTOPK_RETURN_NOT_OK(LaunchSampleGather(dev, in, n, sample_span, s, n / s));
   MPTOPK_ASSIGN_OR_RETURN(
       auto sample_top,
-      BitonicTopKDevice(dev, sample, s, NextPowerOfTwo(m)));
+      BitonicTopKDevice(dev, sample, s, NextPowerOfTwo(plan.pivot_rank)));
   const auto pivot =
       ElementTraits<E>::PrimaryKey(sample_top.items.back());
 
   // 3: threshold filter.
-  const size_t cap = std::max<size_t>(
-      2 * k, static_cast<size_t>(kMaxCandidateFraction *
-                                 static_cast<double>(n)));
+  const size_t cap = plan.candidate_cap;
   MPTOPK_ASSIGN_OR_RETURN(auto cand, dev.Alloc<E>(cap));
   MPTOPK_ASSIGN_OR_RETURN(auto counter, dev.Alloc<uint32_t>(1));
   counter.host_data()[0] = 0;

@@ -29,6 +29,23 @@
 
 namespace mptopk::gpu {
 
+/// The launch plan of HybridTopKDevice, which cost::HybridCostMs prices.
+struct HybridPlan {
+  /// False when sampling would not pay off: the call is plain
+  /// BitonicTopKDevice over the input.
+  bool sampled = false;
+  size_t sample = 0;  ///< strided sample size s (stride n / s)
+  /// The pivot is the pivot_rank-th largest sampled key, found by
+  /// BitonicTopKDevice over the sample at k = NextPowerOfTwo(pivot_rank).
+  size_t pivot_rank = 0;
+  /// Threshold-filter output capacity: more candidates (or fewer than k)
+  /// fall back to BitonicTopKDevice over the input.
+  size_t candidate_cap = 0;
+};
+
+/// Plans HybridTopKDevice over n elements at power-of-two k.
+HybridPlan PlanHybrid(size_t n, size_t k);
+
 /// Top-k of device-resident data[0, n) via the sampled-pivot + bitonic
 /// pipeline. Requires power-of-two k (like bitonic; the HybridTopK registry
 /// operator rounds up if you need arbitrary k). Input is not modified.

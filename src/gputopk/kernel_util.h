@@ -176,12 +176,11 @@ Status LaunchCopyOut(const simt::ExecCtx& dev, const char* name,
                           });
 }
 
-/// Tile size of the selection algorithms' scan-based compaction, sized so
-/// the TwoWayCompactWorkspace (3 staged tiles + per-thread counters) fits
-/// 48 KiB shared memory.
-template <typename E>
-constexpr size_t SelectTile() {
-  return sizeof(E) <= 4 ? 2048 : (sizeof(E) <= 12 ? 1024 : 512);
+/// Tile size of the selection algorithms' scan-based compaction for
+/// elements of `elem_bytes` bytes, sized so the TwoWayCompactWorkspace
+/// (3 staged tiles + per-thread counters) fits 48 KiB shared memory.
+constexpr size_t SelectTile(size_t elem_bytes) {
+  return elem_bytes <= 4 ? 2048 : (elem_bytes <= 12 ? 1024 : 512);
 }
 
 /// Workspace for TwoWayCompactTile: shared buffers allocated once per block
@@ -304,11 +303,19 @@ void TwoWayCompactTile(simt::Block& blk, TwoWayCompactWorkspace<E>& w,
 constexpr int kSelectBlockDim = 256;
 constexpr int kSelectMaxGrid = 128;
 
-/// The select kernels' partition: blocks cover contiguous ranges of
-/// SelectTile<E>() tiles, so the per-block histogram flush amortizes.
-template <typename E>
-TilePartition SelectPartition(size_t n) {
-  return TilePartition(n, SelectTile<E>(), kSelectMaxGrid);
+/// The select kernels' partition of n elements of `elem_bytes` bytes:
+/// blocks of kSelectBlockDim threads cover contiguous ranges of
+/// SelectTile(elem_bytes) tiles, so the per-block histogram flush
+/// amortizes. The Section 7 select models size their passes with it too.
+inline TilePartition SelectPartition(size_t n, size_t elem_bytes) {
+  return TilePartition(n, SelectTile(elem_bytes), kSelectMaxGrid);
+}
+
+/// Kernel launches of a select run with `histograms` histogram passes,
+/// `clusters` of which cluster: SelectHistogram and SelectCluster each
+/// launch a fill and their kernel, and one copy-out ends the run.
+constexpr int SelectLaunches(int histograms, int clusters) {
+  return 2 * histograms + 2 * clusters + 1;
 }
 
 /// Where a select pass splits its candidates: `bin` is the first bin from
@@ -331,7 +338,7 @@ StatusOr<SelectPivot> SelectHistogram(const simt::ExecCtx& dev,
                                       size_t k_rem) {
   MPTOPK_RETURN_NOT_OK(FillDevice<uint32_t>(dev, hist_buf, 0, bins, 0));
   simt::GlobalSpan<uint32_t> hist(hist_buf);
-  const TilePartition part = SelectPartition<E>(n);
+  const TilePartition part = SelectPartition(n, sizeof(E));
   auto st = dev.Launch(
       {.grid_dim = part.grid, .block_dim = kSelectBlockDim, .name = name},
       [&](simt::Block& blk) {
@@ -386,8 +393,8 @@ Status SelectCluster(const simt::ExecCtx& dev, const char* name,
                      simt::DeviceBuffer<uint32_t>& counters_buf) {
   MPTOPK_RETURN_NOT_OK(FillDevice<uint32_t>(dev, counters_buf, 0, 2, 0));
   simt::GlobalSpan<uint32_t> counters(counters_buf);
-  const size_t tile = SelectTile<E>();
-  const TilePartition part = SelectPartition<E>(n);
+  const size_t tile = SelectTile(sizeof(E));
+  const TilePartition part = SelectPartition(n, sizeof(E));
   auto st = dev.Launch(
       {.grid_dim = part.grid, .block_dim = kSelectBlockDim, .name = name},
       [&](simt::Block& blk) {

@@ -44,6 +44,8 @@ struct PerThreadPlan {
   size_t final_threshold = 0;  ///< larger inputs get reduction passes
   /// Grid of each reduction pass; pass i leaves grids[i] * nt heaps of k.
   std::vector<int> grids;
+  /// Kernel launches: one per reduction pass, then the final pass.
+  int launches() const { return static_cast<int>(grids.size()) + 1; }
 };
 
 /// Plans PerThreadTopKDevice over n elements of `elem_bytes` bytes. Fails

@@ -229,7 +229,7 @@ Status RadixSortDevice(const simt::ExecCtx& dev, DeviceBuffer<E>& data, size_t n
   }
   const TilePartition part(n, RadixTile<E>(), kMaxGrid);
   const size_t hist_size = static_cast<size_t>(kRadix) * part.grid;
-  const int passes = static_cast<int>(sizeof(KeyBits<E>));
+  const int passes = RadixSortPasses(sizeof(KeyBits<E>));
   MPTOPK_ASSIGN_OR_RETURN(auto ping, dev.Alloc<E>(n));
   MPTOPK_ASSIGN_OR_RETURN(auto hist, dev.Alloc<uint32_t>(hist_size));
 

@@ -15,6 +15,18 @@
 
 namespace mptopk::gpu {
 
+/// Digit passes of the sort over `key_bytes`-byte keys: one per 8-bit
+/// digit.
+constexpr int RadixSortPasses(size_t key_bytes) {
+  return static_cast<int>(key_bytes);
+}
+
+/// Kernel launches of SortTopKDevice: radix_histogram, radix_scan and
+/// radix_scatter per digit pass, then sort_emit_topk.
+constexpr int SortTopKLaunches(size_t key_bytes) {
+  return 3 * RadixSortPasses(key_bytes) + 1;
+}
+
 /// Sorts `data[0, n)` ascending by primary key into `out` (which must have
 /// size >= n). The input buffer is left unmodified.
 template <typename E>

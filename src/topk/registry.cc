@@ -183,13 +183,14 @@ constexpr uint32_t kCpuElemTypes =
     ElemTypeOf<int64_t>::bit | ElemTypeOf<KV>::bit;
 
 // Cost hook of the comparison-network methods (bitonic, hybrid): the model
-// at k rounded up to a power of two, as they run. The model reports the
-// kernels' own feasibility (two k-runs per tile).
+// at k rounded up to a power of two, as they run, or radix select's when
+// the round-up passes n (RunRoundedPow2). The model reports the kernels'
+// own feasibility (two k-runs per tile).
 template <double (*Model)(const simt::DeviceSpec&, const cost::Workload&)>
 double RoundedKCost(const simt::DeviceSpec& s, const cost::Workload& w) {
   cost::Workload w2 = w;
   w2.k = NextPowerOfTwo(w.k);
-  return Model(s, w2);
+  return w2.k > w.n ? cost::RadixSelectCostMs(s, w) : Model(s, w2);
 }
 
 // The comparison-network methods (bitonic, hybrid): round k up to a power of

@@ -5,21 +5,10 @@
 // 1024, 2048} raw and rounded up to a power of two, five input sizes, the
 // four distributions and 1 or 4 concurrent streams.
 //
-// The predictions fall into three groups, each hashed on its own:
-//  * kStable: everything not named below.
-//  * kPerThreadBands: the per-thread predictions at n = 2^17 + 3 for the
-//    (element size, k) pairs where the cost model used to size its passes
-//    with a float ceil(m / (16k) / nt) while the kernel uses integer
-//    division; the model now reads the kernel's pass plan, so these moved
-//    (for example 2 first-pass blocks priced where the kernel launches 1 at
-//    f32, k = 32).
-//  * kBitonicFit: k = 2048, where one geometry resolver now decides whether
-//    two k-runs fit a tile. HybridTopK is feasible for elements of 8 bytes
-//    or less (the kernels answer it), and the raw bitonic and hybrid models
-//    report infeasible (-1) for larger elements (the kernels reject them).
-//
-// A deliberate change to a prediction updates the constant of its group in
-// the same change; the failure message prints the new value.
+// Each GPU operator's model is hashed on its own, so a change to one
+// operator's launch plan moves only that operator's constant. A deliberate
+// change to a prediction updates the constant of its group in the same
+// change; the failure message prints the new value.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -35,29 +24,30 @@
 namespace mptopk {
 namespace {
 
-enum Group { kStable, kPerThreadBands, kBitonicFit, kGroups };
+enum Group { kSort, kPerThread, kRadixSelect, kBucketSelect, kBitonic,
+             kHybrid, kGroups };
 
 // The value a prediction is hashed under: its function and its input.
 enum class Fn { kHook, kBitonicBreakdown, kPerThread, kHybrid };
 
-Group GroupOf(Fn fn, const std::string& hook, const cost::Workload& w) {
-  const bool perthread =
-      fn == Fn::kPerThread || (fn == Fn::kHook && hook == "PerThreadTopK");
-  if (perthread && w.n == (size_t{1} << 17) + 3 &&
-      (w.k == 1 || w.k == 8 || w.k == 32 ||
-       (w.k == 256 && w.elem_size == 4))) {
-    return kPerThreadBands;
+Group GroupOf(Fn fn, const std::string& hook) {
+  switch (fn) {
+    case Fn::kBitonicBreakdown:
+      return kBitonic;
+    case Fn::kPerThread:
+      return kPerThread;
+    case Fn::kHybrid:
+      return kHybrid;
+    case Fn::kHook:
+      break;
   }
-  if (w.k == 2048) {
-    if (fn == Fn::kHook && hook == "HybridTopK" && w.elem_size <= 8) {
-      return kBitonicFit;
-    }
-    if ((fn == Fn::kBitonicBreakdown || fn == Fn::kHybrid) &&
-        w.elem_size > 8) {
-      return kBitonicFit;
-    }
-  }
-  return kStable;
+  if (hook == "Sort") return kSort;
+  if (hook == "PerThreadTopK") return kPerThread;
+  if (hook == "RadixSelect") return kRadixSelect;
+  if (hook == "BucketSelect") return kBucketSelect;
+  if (hook == "BitonicTopK") return kBitonic;
+  EXPECT_EQ(hook, "HybridTopK") << "a new cost hook needs its own group";
+  return kHybrid;
 }
 
 class Fnv {
@@ -119,7 +109,7 @@ TEST(CostPinTest, PredictionsBitIdentical) {
     std::snprintf(input, sizeof(input), "es=%zu ks=%zu k=%zu n=%zu d=%d s=%d ",
                   w.elem_size, w.key_size, w.k, w.n, static_cast<int>(w.dist),
                   w.concurrent_streams);
-    h[GroupOf(fn, hook, w)].Add(input + tag + " " + Bits(v));
+    h[GroupOf(fn, hook)].Add(input + tag + " " + Bits(v));
   };
   for (const cost::Workload& w : PinnedWorkloads()) {
     for (const topk::TopKOperator* op : topk::Registry::Instance().All()) {
@@ -134,13 +124,13 @@ TEST(CostPinTest, PredictionsBitIdentical) {
     add(Fn::kPerThread, "", w, "perthread", cost::PerThreadCostMs(spec, w));
     add(Fn::kHybrid, "", w, "hybrid", cost::HybridCostMs(spec, w));
   }
-  // Before the model read the kernels' plans, kPerThreadBands hashed to
-  // 0xd7015436313920db and kBitonicFit to 0xe3d9ec82b889e0f7; kStable is
-  // unchanged since then.
   const std::array<uint64_t, kGroups> want = {
-      0xefe99fb0496b842eull, 0x2bbd7a6d7a9a12ddull, 0xed2f99497f310da0ull};
-  const std::array<size_t, kGroups> want_count = {24048, 352, 1080};
-  const char* names[kGroups] = {"stable", "perthread_bands", "bitonic_fit"};
+      0x92a7e4e495d49ca5ull, 0x2d13d13a3a97883bull, 0x8aa4748518db65e5ull,
+      0xfa9f0d1fdac68a2dull, 0x8805f8e2b1574221ull, 0x4fa487b650139877ull};
+  const std::array<size_t, kGroups> want_count = {1960, 3920,  1960,
+                                                  1960, 11760, 3920};
+  const char* names[kGroups] = {"sort",          "perthread", "radix_select",
+                                "bucket_select", "bitonic",   "hybrid"};
   for (int g = 0; g < kGroups; ++g) {
     EXPECT_EQ(h[g].count(), want_count[g]) << names[g];
     EXPECT_EQ(h[g].value(), want[g])

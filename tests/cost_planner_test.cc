@@ -3,6 +3,12 @@
 // planner must reproduce the paper's crossovers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/distributions.h"
 #include "cost/cost_model.h"
 #include "gputopk/bitonic_topk.h"
@@ -156,6 +162,51 @@ TEST(PlannerTest, ExcludesInfeasiblePerThread) {
 TEST(PlannerTest, RejectsBadWorkload) {
   EXPECT_FALSE(planner::PlanTopK(Spec(), FloatWorkload(16, 32)).ok());
   EXPECT_FALSE(planner::PlanTopK(Spec(), FloatWorkload(0, 0)).ok());
+}
+
+// The engine's top-k shapes (KV rows of a filtered table, n = k when few
+// rows match): the planner's pick must simulate within 5% of the fastest
+// operator it ranks, planned for one stream and for four.
+TEST(PlannerRegretTest, EngineShapesPickNearFastest) {
+  std::vector<std::pair<size_t, size_t>> shapes = {{256, 256}, {512, 512}};
+  for (size_t n : {5000, 32768}) {
+    for (size_t k : {16, 64, 256}) shapes.emplace_back(n, k);
+  }
+  for (const auto& [n, k] : shapes) {
+    const auto keys = GenerateFloats(n, Distribution::kUniform);
+    std::vector<KV> data(n);
+    for (size_t i = 0; i < n; ++i) {
+      data[i] = KV{keys[i], static_cast<uint32_t>(i)};
+    }
+    std::map<std::string, double> sim_ms;
+    auto simulate = [&](const topk::TopKOperator& op) {
+      auto it = sim_ms.find(op.name());
+      if (it != sim_ms.end()) return it->second;
+      simt::Device dev;
+      auto buf = dev.Alloc<KV>(n).value();
+      EXPECT_TRUE(dev.CopyToDevice(buf, data.data(), n).ok());
+      const simt::DeviceTimeTracker clock(dev);
+      EXPECT_TRUE(op.TopKDevice(dev, buf, n, k).ok()) << op.name();
+      return sim_ms[op.name()] = clock.ElapsedMs();
+    };
+    for (int streams : {1, 4}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                   " streams=" + std::to_string(streams));
+      auto plan = planner::PlanTopK(
+          Spec(), Workload{n, k, sizeof(KV), sizeof(uint32_t),
+                           Distribution::kUniform, streams});
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      double fastest = simulate(*plan->best);
+      std::string ranking;
+      for (const auto& e : plan->ranked) {
+        fastest = std::min(fastest, simulate(*e.op));
+        ranking += " " + e.op->name() + " pred " +
+                   std::to_string(e.predicted_ms) + " sim " +
+                   std::to_string(simulate(*e.op));
+      }
+      EXPECT_LE(simulate(*plan->best), 1.05 * fastest) << ranking;
+    }
+  }
 }
 
 TEST(PlannerTest, PlannedExecutionRuns) {

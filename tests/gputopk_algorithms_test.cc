@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "common/distributions.h"
 #include "gputopk/bitonic_topk.h"
+#include "gputopk/bucket_select.h"
 #include "gputopk/perthread_topk.h"
 #include "topk/registry.h"
 
@@ -234,10 +237,10 @@ TEST(AlgoShapeTest, BucketSelectFastAtK1) {
   EXPECT_LT(t1, t64 * 0.7) << "k=1 returns right after min/max";
 }
 
-// Bucket-killer input keeps BucketSelect far inside its kMaxPasses = 64:
-// every k > 1 takes 7 histogram passes at each of these n, and k = 1 none
-// (it returns right after min/max). BucketSelectCostMs prices 16 passes
-// there (ROADMAP item 5).
+// Bucket-killer input: every k > 1 takes 7 histogram passes at each of
+// these n (the killer keys' range spans 3 of the 4 key bytes), and k = 1
+// none (it returns right after min/max). BucketSelectCostMs prices the
+// same 7 (tests/plan_agreement_test.cc).
 TEST(AlgoShapeTest, BucketSelectPassesOnBucketKiller) {
   for (size_t n : {size_t{1} << 14, size_t{1} << 16, size_t{1} << 18}) {
     const auto data = GenerateFloats(n, Distribution::kBucketKiller);
@@ -256,6 +259,48 @@ TEST(AlgoShapeTest, BucketSelectPassesOnBucketKiller) {
       EXPECT_EQ(passes, k == 1 ? 0 : 7) << "n=" << n << " k=" << k;
     }
   }
+}
+
+// 8-byte keys on bucket-killer and all-equal input: the oracle answer
+// within the pass bound of BucketRangePasses (16 histogram passes for the
+// full 64-bit key range, then one flush).
+template <typename E>
+void CheckBucketSelectEightByteKeys(const std::vector<E>& data,
+                                    int want_passes) {
+  const int bound = BucketRangePasses(UINT64_MAX);
+  for (size_t k : {32, 256, 1024}) {
+    simt::Device dev;
+    dev.set_trace_sample_target(1);
+    auto r = topk::FindOperator("BucketSelect")
+                 .value()
+                 ->TopKHost(dev, data.data(), data.size(), k);
+    ASSERT_TRUE(r.ok()) << "k=" << k << ": " << r.status();
+    CheckKeys(*r, data, k);
+    int passes = 0;
+    for (const auto& launch : dev.kernel_log()) {
+      passes += launch.name == "bucket_histogram";
+    }
+    EXPECT_LE(passes, bound) << "k=" << k;
+    EXPECT_EQ(passes, want_passes) << "k=" << k;
+  }
+}
+
+TEST(AlgoShapeTest, BucketSelectEightByteKeysWithinPassBound) {
+  const size_t n = 1 << 14;
+  const std::vector<double> killer =
+      GenerateDoubles(n, Distribution::kBucketKiller);
+  std::vector<uint64_t> killer_bits(n);
+  for (size_t i = 0; i < n; ++i) {
+    killer_bits[i] = std::bit_cast<uint64_t>(killer[i]);
+  }
+  // The killer keys span 7 of the 8 key bytes: 15 passes.
+  CheckBucketSelectEightByteKeys(killer, 15);
+  CheckBucketSelectEightByteKeys(killer_bits, 15);
+  // All equal: the range is empty from the start, so the first iteration
+  // flushes.
+  CheckBucketSelectEightByteKeys(std::vector<double>(n, 0.75), 0);
+  CheckBucketSelectEightByteKeys(std::vector<uint64_t>(n, uint64_t{1} << 40),
+                                 0);
 }
 
 TEST(AlgoShapeTest, PerThreadOccupancyCliffAtLargeK) {
