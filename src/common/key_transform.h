@@ -24,6 +24,7 @@
 #define MPTOPK_COMMON_KEY_TRANSFORM_H_
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <limits>
 #include <type_traits>
@@ -76,10 +77,16 @@ struct KeyTraits<int64_t> {
 template <>
 struct KeyTraits<float> {
   using Unsigned = uint32_t;
+  // Integer ops only, so the bitonic compare-exchange stays branch-free
+  // on a key's sign.
   static constexpr Unsigned ToOrderedBits(float v) {
-    if (v != v) return 0xFFFFFFFFu;  // canonical NaN: the greatest key
-    uint32_t bits = std::bit_cast<uint32_t>(v);
-    return (bits & 0x80000000u) ? ~bits : (bits | 0x80000000u);
+    const uint32_t bits = std::bit_cast<uint32_t>(v);
+    // Negatives flip every bit, non-negatives the sign bit.
+    const uint32_t ordered =
+        bits ^ (static_cast<uint32_t>(static_cast<int32_t>(bits) >> 31) |
+                0x80000000u);
+    // Canonical NaN (all-ones exponent, nonzero mantissa): the greatest key.
+    return (bits & 0x7FFFFFFFu) > 0x7F800000u ? 0xFFFFFFFFu : ordered;
   }
   static constexpr float FromOrderedBits(Unsigned u) {
     uint32_t bits = (u & 0x80000000u) ? (u & 0x7FFFFFFFu) : ~u;
@@ -98,10 +105,14 @@ template <>
 struct KeyTraits<double> {
   using Unsigned = uint64_t;
   static constexpr Unsigned ToOrderedBits(double v) {
-    if (v != v) return 0xFFFFFFFFFFFFFFFFull;  // canonical NaN: greatest key
-    uint64_t bits = std::bit_cast<uint64_t>(v);
-    return (bits & 0x8000000000000000ull) ? ~bits
-                                          : (bits | 0x8000000000000000ull);
+    const uint64_t bits = std::bit_cast<uint64_t>(v);
+    const uint64_t ordered =
+        bits ^ (static_cast<uint64_t>(static_cast<int64_t>(bits) >> 63) |
+                0x8000000000000000ull);
+    // Canonical NaN: the greatest key.
+    return (bits & 0x7FFFFFFFFFFFFFFFull) > 0x7FF0000000000000ull
+               ? 0xFFFFFFFFFFFFFFFFull
+               : ordered;
   }
   static constexpr double FromOrderedBits(Unsigned u) {
     uint64_t bits =

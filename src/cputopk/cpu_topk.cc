@@ -113,10 +113,7 @@ void StepScalar(E* v, size_t m, uint32_t dir, uint32_t inc) {
   for (size_t p = 0; p < m / 2; ++p) {
     size_t low = p & (inc - 1);
     size_t i = (p << 1) - low;
-    bool ascending = (i & dir) == 0;
-    if (ascending != ElementTraits<E>::Less(v[i], v[i + inc])) {
-      std::swap(v[i], v[i + inc]);
-    }
+    gpu::BitonicCompareExchange(v[i], v[i + inc], (i & dir) == 0);
   }
 }
 
@@ -136,9 +133,7 @@ template <typename E>
 void Merge(E* v, size_t m, size_t k) {
   for (size_t j = 0; j < m / 2; ++j) {
     size_t i = (j / k) * 2 * k + (j % k);
-    const E& a = v[i];
-    const E& b = v[i + k];
-    v[j] = ElementTraits<E>::Less(a, b) ? b : a;
+    v[j] = gpu::BitonicPairMax(v[i], v[i + k]);
   }
 }
 

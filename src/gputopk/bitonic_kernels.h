@@ -7,6 +7,7 @@
 #define MPTOPK_GPUTOPK_BITONIC_KERNELS_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/bits.h"
@@ -24,12 +25,55 @@ using simt::Thread;
 // Shared-memory building blocks (called from kernel/block scope).
 // ---------------------------------------------------------------------------
 
+// Window w's compare-exchanges over one group held in registers, in step
+// order. Element j of a group is logical element base + (j << w.lo_bit),
+// and the window and base bits are disjoint, so a pair ascends when
+// neither j's window bits nor the group's base set the step's direction
+// bit. Built once per window; both bodies of RunWindowShared run it, so
+// they compute the same bits.
+class GroupNetwork {
+ public:
+  explicit GroupNetwork(const BitonicWindow& w) {
+    const int G = w.group_size();
+    pairs_.reserve(w.steps.size() * G / 2);
+    for (const BitonicStep& st : w.steps) {
+      const int rel = static_cast<int>(st.inc >> w.lo_bit);
+      for (int j = 0; j < G; ++j) {
+        if (j & rel) continue;
+        pairs_.push_back({static_cast<uint8_t>(j),
+                          static_cast<uint8_t>(j + rel),
+                          ((static_cast<uint32_t>(j) << w.lo_bit) & st.dir) != 0,
+                          st.dir});
+      }
+    }
+  }
+
+  template <typename E>
+  void Run(E* regs, size_t base) const {
+    for (const Pair& p : pairs_) {
+      BitonicCompareExchange(regs[p.a], regs[p.b],
+                             !p.descending && (base & p.dir) == 0);
+    }
+  }
+
+ private:
+  struct Pair {
+    uint8_t a;
+    uint8_t b;
+    bool descending;  // j's window bits set the direction bit
+    uint32_t dir;
+  };
+  std::vector<Pair> pairs_;
+};
+
 // Executes one window of compare-exchange steps over the logical array
 // s[0, m) staged in shared memory. `active_threads` threads each stage
 // gpt * 2^w elements in registers. `permute` rotates each lane's group and
 // intra-group access order (the paper's chunk permutation). The network is
 // data-oblivious: the addresses depend only on the window's bits, m, the
 // thread count and the layout flags, never on the step directions or data.
+// Groups are disjoint and run the same comparator sequence, so the native
+// body walks them in index order.
 template <typename E>
 void RunWindowShared(Block& blk, SharedSpan<E> s, size_t m,
                      const BitonicWindow& w, int active_threads,
@@ -40,46 +84,52 @@ void RunWindowShared(Block& blk, SharedSpan<E> s, size_t m,
   const int at = static_cast<int>(
       std::min<size_t>(static_cast<size_t>(active_threads), groups));
   const size_t gpt = CeilDiv(groups, at);
+  // Group grp's first element, and the shared index of a group's element j.
+  auto group_base = [&](size_t grp) {
+    return ((grp >> lo) << (w.hi_bit + 1)) | (grp & ((size_t{1} << lo) - 1));
+  };
+  auto elem = [&](size_t base, int j) {
+    return g.PadIdx(base + (static_cast<size_t>(j) << lo));
+  };
   // Chunk permutation only matters for strided windows (comparison distance
   // > 1, paper Figure 10); contiguous windows (lo == 0) are conflict-free
   // under padding and are left untouched.
   const bool permute = g.permute && lo > 0;
+  const GroupNetwork group_net(w);
   const simt::RegionShape shape(kBitonicWindowSite, s.base_offset(), sizeof(E),
                                 m, lo, w.hi_bit, g.pad, permute);
-  blk.ForEachThreadOblivious(shape, at, [&](Thread& t) {
-    E regs[kMaxElemsPerThread];
-    for (size_t gj = 0; gj < gpt; ++gj) {
-      size_t order = (permute && gpt > 1)
-                         ? (gj + static_cast<size_t>(t.lane)) % gpt
-                         : gj;
-      size_t grp = static_cast<size_t>(t.tid) * gpt + order;
-      if (grp >= groups) continue;
-      size_t base = ((grp >> lo) << (w.hi_bit + 1)) |
-                    (grp & ((size_t{1} << lo) - 1));
-      int rot = permute ? (t.lane % G) : 0;
-      for (int jj = 0; jj < G; ++jj) {
-        int j = (jj + rot) % G;
-        regs[j] = s.Read(t, g.PadIdx(base + (static_cast<size_t>(j) << lo)));
-      }
-      for (const BitonicStep& st : w.steps) {
-        int relbit = Log2Floor(st.inc) - lo;
-        int rel = 1 << relbit;
-        for (int j = 0; j < G; ++j) {
-          if ((j >> relbit) & 1) continue;
-          size_t gi = base + (static_cast<size_t>(j) << lo);
-          bool ascending = (gi & st.dir) == 0;
-          bool a_less = ElementTraits<E>::Less(regs[j], regs[j + rel]);
-          // paper: swap = reverse XOR (x0 < x1); 'reverse' is the ascending
-          // branch of the direction bit.
-          if (ascending != a_less) std::swap(regs[j], regs[j + rel]);
+  blk.ForEachThreadOblivious(
+      shape, at,
+      [&](Thread& t) {
+        E regs[kMaxElemsPerThread];
+        for (size_t gj = 0; gj < gpt; ++gj) {
+          size_t order = (permute && gpt > 1)
+                             ? (gj + static_cast<size_t>(t.lane)) % gpt
+                             : gj;
+          size_t grp = static_cast<size_t>(t.tid) * gpt + order;
+          if (grp >= groups) continue;
+          const size_t base = group_base(grp);
+          int rot = permute ? (t.lane % G) : 0;
+          for (int jj = 0; jj < G; ++jj) {
+            int j = (jj + rot) % G;
+            regs[j] = s.Read(t, elem(base, j));
+          }
+          group_net.Run(regs, base);
+          for (int jj = 0; jj < G; ++jj) {
+            int j = (jj + rot) % G;
+            s.Write(t, elem(base, j), regs[j]);
+          }
         }
-      }
-      for (int jj = 0; jj < G; ++jj) {
-        int j = (jj + rot) % G;
-        s.Write(t, g.PadIdx(base + (static_cast<size_t>(j) << lo)), regs[j]);
-      }
-    }
-  });
+      },
+      [&] {
+        E regs[kMaxElemsPerThread];
+        for (size_t grp = 0; grp < groups; ++grp) {
+          const size_t base = group_base(grp);
+          for (int j = 0; j < G; ++j) regs[j] = s.Untraced(elem(base, j));
+          group_net.Run(regs, base);
+          for (int j = 0; j < G; ++j) s.Untraced(elem(base, j)) = regs[j];
+        }
+      });
   blk.Sync();
 }
 
@@ -96,7 +146,8 @@ void RunStepsShared(Block& blk, SharedSpan<E> s, size_t m,
 
 // Pairwise-max merge of adjacent k-runs: s[0, m) -> s[0, m/2). Two regions
 // (read into registers, barrier, write) because reads and writes overlap
-// across threads.
+// across threads. Output j is thread j % at's register j / at in both
+// bodies: one region may hit the memo (native) while the other misses.
 template <typename E>
 void MergeShared(Block& blk, SharedSpan<E> s, size_t m, size_t k,
                  const BitonicGeometry& g) {
@@ -105,31 +156,58 @@ void MergeShared(Block& blk, SharedSpan<E> s, size_t m, size_t k,
       std::min<size_t>(static_cast<size_t>(blk.block_dim()), outs));
   const size_t opt = CeilDiv(outs, at);
   E* scratch = blk.ThreadScratch<E>(opt);
+  auto pair_max = [&](size_t j, auto read) {
+    const size_t i = (j / k) * 2 * k + (j % k);
+    const E a = read(g.PadIdx(i));
+    const E b = read(g.PadIdx(i + k));
+    return BitonicPairMax(a, b);
+  };
+  // Calls fn(j, register slot) for every output in index order.
+  auto for_each_out = [&](auto fn) {
+    for (size_t jj = 0, j = 0; jj < opt; ++jj) {
+      for (size_t tid = 0; tid < static_cast<size_t>(at) && j < outs;
+           ++tid, ++j) {
+        fn(j, tid * opt + jj);
+      }
+    }
+  };
   // Outputs are assigned round-robin (j = jj*at + tid) so each warp touches
   // contiguous shared words -- conflict-free under padding.
   const simt::RegionShape read_shape(kMergeReadSite, s.base_offset(),
                                      sizeof(E), m, k, g.pad);
-  blk.ForEachThreadOblivious(read_shape, at, [&](Thread& t) {
-    for (size_t jj = 0; jj < opt; ++jj) {
-      size_t j = jj * at + t.tid;
-      if (j >= outs) continue;
-      size_t i = (j / k) * 2 * k + (j % k);
-      E a = s.Read(t, g.PadIdx(i));
-      E b = s.Read(t, g.PadIdx(i + k));
-      scratch[static_cast<size_t>(t.tid) * opt + jj] =
-          ElementTraits<E>::Less(a, b) ? b : a;
-    }
-  });
+  blk.ForEachThreadOblivious(
+      read_shape, at,
+      [&](Thread& t) {
+        for (size_t jj = 0; jj < opt; ++jj) {
+          size_t j = jj * at + t.tid;
+          if (j >= outs) continue;
+          scratch[static_cast<size_t>(t.tid) * opt + jj] =
+              pair_max(j, [&](size_t i) { return s.Read(t, i); });
+        }
+      },
+      [&] {
+        for_each_out([&](size_t j, size_t slot) {
+          scratch[slot] = pair_max(j, [&](size_t i) { return s.Untraced(i); });
+        });
+      });
   blk.Sync();
   const simt::RegionShape write_shape(kMergeWriteSite, s.base_offset(),
                                       sizeof(E), m, g.pad);
-  blk.ForEachThreadOblivious(write_shape, at, [&](Thread& t) {
-    for (size_t jj = 0; jj < opt; ++jj) {
-      size_t j = jj * at + t.tid;
-      if (j >= outs) continue;
-      s.Write(t, g.PadIdx(j), scratch[static_cast<size_t>(t.tid) * opt + jj]);
-    }
-  });
+  blk.ForEachThreadOblivious(
+      write_shape, at,
+      [&](Thread& t) {
+        for (size_t jj = 0; jj < opt; ++jj) {
+          size_t j = jj * at + t.tid;
+          if (j >= outs) continue;
+          s.Write(t, g.PadIdx(j),
+                  scratch[static_cast<size_t>(t.tid) * opt + jj]);
+        }
+      },
+      [&] {
+        for_each_out([&](size_t j, size_t slot) {
+          s.Untraced(g.PadIdx(j)) = scratch[slot];
+        });
+      });
   blk.Sync();
 }
 

@@ -12,10 +12,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "common/bits.h"
 #include "common/status.h"
+#include "common/tuple_types.h"
 #include "simt/device_spec.h"
 
 namespace mptopk::gpu {
@@ -28,6 +31,43 @@ struct BitonicStep {
   uint32_t dir;
   uint32_t inc;
 };
+
+/// Exchanges a and b when `swap` is set, as a masked select over their
+/// words: no branch on the comparison, which random keys make
+/// unpredictable.
+template <typename E>
+inline void MaskedSwap(E& a, E& b, bool swap) {
+  static_assert(std::is_trivially_copyable_v<E>);
+  using Word = std::conditional_t<sizeof(E) % 8 == 0, uint64_t, uint32_t>;
+  static_assert(sizeof(E) % sizeof(Word) == 0, "elements are whole words");
+  constexpr size_t kWords = sizeof(E) / sizeof(Word);
+  Word wa[kWords], wb[kWords];
+  std::memcpy(wa, &a, sizeof(E));
+  std::memcpy(wb, &b, sizeof(E));
+  const Word mask = Word{0} - static_cast<Word>(swap);
+  for (size_t i = 0; i < kWords; ++i) {
+    const Word diff = (wa[i] ^ wb[i]) & mask;
+    wa[i] ^= diff;
+    wb[i] ^= diff;
+  }
+  std::memcpy(&a, wa, sizeof(E));
+  std::memcpy(&b, wb, sizeof(E));
+}
+
+/// The network's compare-exchange: orders (a, b) ascending when
+/// `ascending`, descending otherwise; equal elements are exchanged (paper:
+/// swap = reverse XOR (a < b)). The GPU kernels and the CPU port share it.
+template <typename E>
+inline void BitonicCompareExchange(E& a, E& b, bool ascending) {
+  MaskedSwap(a, b, ascending != ElementTraits<E>::Less(a, b));
+}
+
+/// The merge's pairwise max (paper Algorithm 3): b when a < b, else a.
+template <typename E>
+inline E BitonicPairMax(E a, E b) {
+  MaskedSwap(a, b, ElementTraits<E>::Less(a, b));
+  return a;
+}
 
 /// Steps that turn an unsorted array into sorted runs of length k,
 /// alternating ascending/descending (paper Algorithm 2).

@@ -48,9 +48,7 @@ Status LaunchGlobalStep(const simt::ExecCtx& dev, GlobalSpan<E> data, size_t m,
         size_t i = (p << 1) - low;
         E a = data.Read(t, i);
         E b = data.Read(t, i + step.inc);
-        bool ascending = (i & step.dir) == 0;
-        bool a_less = ElementTraits<E>::Less(a, b);
-        if (ascending != a_less) std::swap(a, b);
+        BitonicCompareExchange(a, b, (i & step.dir) == 0);
         data.Write(t, i, a);
         data.Write(t, i + step.inc, b);
       });
@@ -66,7 +64,7 @@ Status LaunchGlobalMerge(const simt::ExecCtx& dev, GlobalSpan<E> in, size_t m,
         size_t i = (j / k) * 2 * k + (j % k);
         E a = in.Read(t, i);
         E b = in.Read(t, i + k);
-        out.Write(t, j, ElementTraits<E>::Less(a, b) ? b : a);
+        out.Write(t, j, BitonicPairMax(a, b));
       });
 }
 

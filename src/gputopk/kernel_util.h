@@ -122,13 +122,21 @@ inline void BlockExclusiveScan(simt::Block& blk,
   for (size_t offset = 1; offset < n; offset <<= 1) {
     const simt::RegionShape shape(kScanStepSite, src.base_offset(),
                                   dst.base_offset(), n, offset);
-    blk.ForEachThreadOblivious(shape, nt, [&](simt::Thread& t) {
-      for (size_t i = t.tid; i < n; i += nt) {
-        uint32_t v = src.Read(t, i);
-        if (i >= offset) v += src.Read(t, i - offset);
-        dst.Write(t, i, v);
-      }
-    });
+    blk.ForEachThreadOblivious(
+        shape, nt,
+        [&](simt::Thread& t) {
+          for (size_t i = t.tid; i < n; i += nt) {
+            uint32_t v = src.Read(t, i);
+            if (i >= offset) v += src.Read(t, i - offset);
+            dst.Write(t, i, v);
+          }
+        },
+        [&] {
+          for (size_t i = 0; i < n; ++i) {
+            dst.Untraced(i) =
+                src.Untraced(i) + (i >= offset ? src.Untraced(i - offset) : 0u);
+          }
+        });
     blk.Sync();
     std::swap(src, dst);
   }
@@ -140,26 +148,40 @@ inline void BlockExclusiveScan(simt::Block& blk,
   if (src_is_data && n > 1) {
     const simt::RegionShape shape(kScanBounceSite, data.base_offset(),
                                   scratch.base_offset(), n);
-    blk.ForEachThreadOblivious(shape, nt, [&](simt::Thread& t) {
-      for (size_t i = t.tid; i < n; i += nt) {
-        scratch.Write(t, i, data.Read(t, i));
-      }
-    });
+    blk.ForEachThreadOblivious(
+        shape, nt,
+        [&](simt::Thread& t) {
+          for (size_t i = t.tid; i < n; i += nt) {
+            scratch.Write(t, i, data.Read(t, i));
+          }
+        },
+        [&] {
+          for (size_t i = 0; i < n; ++i) scratch.Untraced(i) = data.Untraced(i);
+        });
     blk.Sync();
     src = scratch;
   }
   // src now holds the inclusive scan; shift right by one into `data` to make
-  // it exclusive, capturing the block-wide total from the last element.
+  // it exclusive, capturing the block-wide total from the last element
+  // (src is `data` itself only when n = 1: the total is read first).
   uint32_t total = 0;
   const simt::RegionShape shape(kScanShiftSite, src.base_offset(),
                                 data.base_offset(), n);
-  blk.ForEachThreadOblivious(shape, nt, [&](simt::Thread& t) {
-    for (size_t i = t.tid; i < n; i += nt) {
-      if (i == n - 1) total = src.Read(t, i);
-      uint32_t prev = i == 0 ? 0u : src.Read(t, i - 1);
-      data.Write(t, i, prev);
-    }
-  });
+  blk.ForEachThreadOblivious(
+      shape, nt,
+      [&](simt::Thread& t) {
+        for (size_t i = t.tid; i < n; i += nt) {
+          if (i == n - 1) total = src.Read(t, i);
+          uint32_t prev = i == 0 ? 0u : src.Read(t, i - 1);
+          data.Write(t, i, prev);
+        }
+      },
+      [&] {
+        if (n > 0) total = src.Untraced(n - 1);
+        for (size_t i = 0; i < n; ++i) {
+          data.Untraced(i) = i == 0 ? 0u : src.Untraced(i - 1);
+        }
+      });
   blk.Sync();
   if (total_out != nullptr) *total_out = total;
 }

@@ -81,33 +81,35 @@ class Block {
     if (tracer_ != nullptr) AlignWarpSequences();
   }
 
-  /// ForEachThreadBelow for a data-oblivious region: one whose traced
-  /// accesses depend only on `shape` and `count`, never on data or the
-  /// block index, and that makes no global access, local traffic or
-  /// dependent chain. A traced block looks (shape, count) up in its launch
-  /// worker's RegionMemo. On a hit it runs `fn` untraced and adds the
-  /// stored cost; on a miss it traces the region as usual and stores what
-  /// the region cost. Without a memo (racecheck armed) it is
-  /// ForEachThreadBelow.
-  template <typename Fn>
-  void ForEachThreadOblivious(const RegionShape& shape, int count, Fn&& fn) {
-    RegionMemo* memo = tracer_ != nullptr ? tracer_->region_memo() : nullptr;
-    if (memo == nullptr) return ForEachThreadBelow(count, fn);
-    // The key holds `count` as given: a caller may derive addresses from it.
-    const int run = std::min(count, block_dim_);
+  /// A data-oblivious region of the first `count` threads: one whose
+  /// traced accesses depend only on `shape` and `count`, never on data or
+  /// the block index, and that makes no global access, local traffic or
+  /// dependent chain. It has two bodies that leave the same bytes behind:
+  /// `simt_fn(Thread&)`, the per-thread SIMT code, and `native_fn()`, a
+  /// host loop that computes the region's result for all `count` threads
+  /// through SharedSpan::Untraced. An untraced block runs `native_fn`. A
+  /// traced block looks (shape, count) up in its launch worker's
+  /// RegionMemo: on a hit it runs `native_fn` and adds the stored cost; on
+  /// a miss it traces `simt_fn` as usual and stores what the region cost.
+  /// Without a memo (racecheck armed) it runs `simt_fn` traced, as
+  /// ForEachThreadBelow does.
+  template <typename SimtFn, typename NativeFn>
+  void ForEachThreadOblivious(const RegionShape& shape, int count,
+                              SimtFn&& simt_fn, NativeFn&& native_fn) {
+    assert(count <= block_dim_ && "the native body runs all count threads");
+    count = std::min(count, block_dim_);
+    if (tracer_ == nullptr) return native_fn();
+    RegionMemo* memo = tracer_->region_memo();
+    if (memo == nullptr) return ForEachThreadBelow(count, simt_fn);
     if (const KernelMetrics* cost = memo->Find(shape, count)) {
-      for (int t = 0; t < run; ++t) {
-        threads_[t].tracer = nullptr;
-        fn(threads_[t]);
-        threads_[t].tracer = tracer_;
-      }
+      native_fn();
       tracer_->AddRegionCost(*cost);
       return;
     }
     const uint64_t local = tracer_->local_bytes();
     const uint64_t dependent = tracer_->dependent_cycles();
-    for (int t = 0; t < run; ++t) {
-      fn(threads_[t]);
+    for (int t = 0; t < count; ++t) {
+      simt_fn(threads_[t]);
     }
     const KernelMetrics cost = AlignWarpSequences();
     const bool oblivious = cost.global_transactions == 0 &&

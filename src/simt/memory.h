@@ -222,6 +222,14 @@ class SharedSpan {
   /// In-kernel accesses must go through Read/Write so they are traced.
   T* data() const { return data_; }
 
+  /// Untraced, bounds-checked element access for the native body of a
+  /// data-oblivious region (Block::ForEachThreadOblivious), which runs only
+  /// where the region's cost is already known.
+  T& Untraced(size_t i) const {
+    assert(i < size_);
+    return data_[i];
+  }
+
   T Read(Thread& t, size_t i) const {
     assert(i < size_);
     if (t.tracer != nullptr) {

@@ -283,6 +283,11 @@ TEST(RegionMemo, PartialWarpsAndBaseOffsets) {
           simt::RegionShape(1, y.base_offset(), z.base_offset()), count,
           [&](simt::Thread& t) {
             z.Write(t, t.tid, y.Read(t, (t.tid * 3) % 48));
+          },
+          [&] {
+            for (int tid = 0; tid < count; ++tid) {
+              z.Untraced(tid) = y.Untraced((tid * 3) % 48);
+            }
           });
       blk.Sync();
     }
@@ -298,7 +303,8 @@ TEST(RegionMemo, PartialWarpsAndBaseOffsets) {
             } else {
               b.Read(t, t.lane - 16);
             }
-          });
+          },
+          [] {});
       blk.Sync();
     }
   });
@@ -309,6 +315,59 @@ TEST(RegionMemo, PartialWarpsAndBaseOffsets) {
   EXPECT_EQ(st.hits + st.misses, 6u * 6u);
   EXPECT_EQ(st.misses % 4, 0u);
   EXPECT_GE(st.hits, 2u * 6u);
+}
+
+// A memo hit runs the native body alone: it records no access, so the
+// tracer's open slot tables stay empty, and it adds exactly the cost the
+// miss stored. A native body that ran the SIMT code with the tracer still
+// set would trace every hit a second time.
+TEST(RegionMemo, HitRecordsNothingAndAddsTheStoredCost) {
+  const simt::DeviceSpec spec = simt::DeviceSpec::TitanXMaxwell();
+  simt::RegionMemo memo;
+  simt::BlockTracer tracer(spec, 64, /*retain_accesses=*/false, &memo);
+  simt::Block blk(spec, 1, 64);
+  blk.ResetFor(0, &tracer);
+  auto x = blk.AllocShared<uint32_t>(64);
+  // Stride-2 writes, two-way bank-conflicted: evens, then odds.
+  auto slot = [](int tid) { return (tid % 32) * 2 + tid / 32; };
+  int simt_threads = 0;
+  int native_runs = 0;
+  auto region = [&] {
+    blk.ForEachThreadOblivious(
+        simt::RegionShape(1, x.base_offset()), 64,
+        [&](simt::Thread& t) {
+          ++simt_threads;
+          x.Write(t, slot(t.tid), t.tid);
+        },
+        [&] {
+          ++native_runs;
+          for (int tid = 0; tid < 64; ++tid) x.Untraced(slot(tid)) = tid;
+        });
+  };
+  region();  // miss: traced, stored
+  ASSERT_EQ(memo.misses(), 1u);
+  ASSERT_EQ(simt_threads, 64);
+  simt::KernelMetrics stored;
+  tracer.Analyze(&stored);
+  ASSERT_GT(stored.bank_conflict_cycles, 0u);
+
+  region();  // hit
+  EXPECT_EQ(memo.hits(), 1u);
+  EXPECT_EQ(simt_threads, 64) << "a hit ran the SIMT body";
+  EXPECT_EQ(native_runs, 1);
+  for (int tid = 0; tid < 64; ++tid) EXPECT_EQ(x.data()[slot(tid)], tid);
+  EXPECT_EQ(tracer.EndRegion().warp_instructions, 0u)
+      << "a hit left rows in the open slot tables";
+  simt::KernelMetrics after;
+  tracer.Analyze(&after);
+  EXPECT_EQ(after.warp_instructions, 2 * stored.warp_instructions);
+  EXPECT_EQ(after.shared_cycles, 2 * stored.shared_cycles);
+  EXPECT_EQ(after.shared_bytes, 2 * stored.shared_bytes);
+  EXPECT_EQ(after.shared_useful_bytes, 2 * stored.shared_useful_bytes);
+  EXPECT_EQ(after.bank_conflict_cycles, 2 * stored.bank_conflict_cycles);
+  EXPECT_EQ(after.divergent_lane_slots, 2 * stored.divergent_lane_slots);
+  EXPECT_EQ(after.global_transactions, 0u);
+  EXPECT_EQ(after.blocks_traced, 1u);
 }
 
 // Two block scans of one size whose scratch lies 0 and 112 bytes past a
@@ -347,7 +406,8 @@ void GlobalRegionKernel(simt::Device* dev, simt::DeviceBuffer<uint32_t>& buf) {
                                 simt::RegionShape(3), 32,
                                 [&](simt::Thread& t) {
                                   g.Read(t, t.tid * stride);
-                                });
+                                },
+                                [] {});
                           })
                   .ok());
 }
